@@ -87,10 +87,10 @@ pub fn domination_probability(
         let mut entries: Vec<((StateId, StateId), f64)> = joint.into_iter().collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
         for ((so, sa), w) in entries {
-            let row_o = o.transition_row(t, so).expect("reachable state has a row");
-            let row_a = other.transition_row(t, sa).expect("reachable state has a row");
-            for (no, wo) in row_o.iter() {
-                for (na, wa) in row_a.iter() {
+            let (cols_o, probs_o) = o.transition_row(t, so).expect("reachable state has a row");
+            let (cols_a, probs_a) = other.transition_row(t, sa).expect("reachable state has a row");
+            for (&no, &wo) in cols_o.iter().zip(probs_o) {
+                for (&na, &wa) in cols_a.iter().zip(probs_a) {
                     let mass = w * wo * wa;
                     if mass > 0.0 {
                         *next.entry((no, na)).or_insert(0.0) += mass;

@@ -106,10 +106,10 @@ pub fn enumerate_trajectories(
         let mut next: Vec<(Vec<u32>, f64)> = Vec::new();
         for (states, p) in &partial {
             let current = *states.last().expect("non-empty");
-            let row = model
+            let (cols, probs) = model
                 .transition_row(t, current)
                 .expect("reachable state has a transition row");
-            for (s, w) in row.iter() {
+            for (&s, &w) in cols.iter().zip(probs) {
                 let mut ns = states.clone();
                 ns.push(s);
                 next.push((ns, p * w));

@@ -31,9 +31,9 @@
 //!    yields both the a-posteriori transition matrices `F^o(t)` and the
 //!    a-posteriori marginals `P(o(t) = s | Θ^o)`.
 
-use crate::alias::AliasKernel;
+use crate::alias::{AliasKernel, StepRows};
 use crate::model::TransitionModel;
-use crate::sparse::SparseDist;
+use crate::sparse::{SparseDist, PROB_EPSILON};
 use crate::{StateId, Timestamp};
 use rustc_hash::FxHashMap;
 
@@ -78,69 +78,6 @@ impl std::fmt::Display for AdaptError {
 }
 
 impl std::error::Error for AdaptError {}
-
-/// A time-slice of an (adapted) transition model: for each source state a
-/// sparse distribution over target states.
-#[derive(Debug, Clone, Default)]
-pub struct TransitionTable {
-    rows: FxHashMap<StateId, SparseDist>,
-}
-
-impl TransitionTable {
-    /// Builds a table from raw per-row weights, normalizing every row.
-    fn from_weights(rows: FxHashMap<StateId, Vec<(StateId, f64)>>) -> Self {
-        let mut out: FxHashMap<StateId, SparseDist> = FxHashMap::default();
-        out.reserve(rows.len());
-        for (state, weights) in rows {
-            let mut dist = SparseDist::from_pairs(weights);
-            if dist.normalize() {
-                out.insert(state, dist);
-            }
-        }
-        TransitionTable { rows: out }
-    }
-
-    /// Reassembles a table from already-normalized per-row distributions,
-    /// without renormalizing them. This is the store-loading counterpart of
-    /// the private normalizing construction used during adaptation: the rows
-    /// were normalized once when the model was built, and renormalizing on
-    /// load would perturb their bit patterns. Duplicate source states keep
-    /// the last distribution.
-    pub fn from_rows(rows: impl IntoIterator<Item = (StateId, SparseDist)>) -> Self {
-        TransitionTable { rows: rows.into_iter().collect() }
-    }
-
-    /// The outgoing distribution of `state`, if `state` is reachable at this
-    /// time slice.
-    pub fn row(&self, state: StateId) -> Option<&SparseDist> {
-        self.rows.get(&state)
-    }
-
-    /// Number of source states with a stored row.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates over `(source state, outgoing distribution)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (StateId, &SparseDist)> {
-        self.rows.iter().map(|(&s, d)| (s, d))
-    }
-
-    /// The rows sorted by ascending source state. The backing map is
-    /// unordered, so this is the canonical deterministic view — it is what
-    /// [`AliasKernel`] construction consumes, keeping the kernel layout
-    /// byte-identical across platforms and runs.
-    pub fn sorted_rows(&self) -> Vec<(StateId, &SparseDist)> {
-        let mut rows: Vec<(StateId, &SparseDist)> = self.iter().collect();
-        rows.sort_unstable_by_key(|&(s, _)| s);
-        rows
-    }
-}
 
 /// Configuration of the model adaptation.
 ///
@@ -195,9 +132,9 @@ impl ModelAdaptation {
         // Forward phase: belief propagation + time-reversed chain R(t).
         // ------------------------------------------------------------------
         let mut forward: Vec<SparseDist> = Vec::with_capacity(horizon + 1);
-        // reversed[k] is R(start + k + 1): rows indexed by the state at time
-        // t = start+k+1, each a distribution over states at time t-1.
-        let mut reversed: Vec<TransitionTable> = Vec::with_capacity(horizon);
+        // Step k of `reversed` is R(start + k + 1): rows indexed by the state
+        // at time t = start+k+1, each a distribution over states at time t-1.
+        let mut reversed = StepRows::default();
 
         let mut belief = SparseDist::delta(first.1);
         forward.push(belief.clone());
@@ -224,7 +161,7 @@ impl ModelAdaptation {
             if acc.is_empty() {
                 return Err(AdaptError::ContradictoryObservations { time: t });
             }
-            reversed.push(TransitionTable::from_weights(back_rows));
+            reversed.push_step(back_rows);
 
             let mut new_belief = SparseDist::from_pairs(acc);
             new_belief.normalize();
@@ -244,18 +181,19 @@ impl ModelAdaptation {
         // Backward phase: a-posteriori marginals and transitions F(t).
         // ------------------------------------------------------------------
         let mut posterior: Vec<SparseDist> = vec![SparseDist::new(); horizon + 1];
-        let mut transitions: Vec<TransitionTable> =
-            (0..horizon).map(|_| TransitionTable::default()).collect();
+        // The rows of F(start + step), produced last step first; the arena
+        // takes them in step order once the pass is done.
+        let mut fwd_steps = Vec::with_capacity(horizon);
         posterior[horizon] = SparseDist::delta(last.1);
 
         for step in (0..horizon).rev() {
             let next_post = posterior[step + 1].clone();
-            let r_table = &reversed[step]; // R(start + step + 1)
             let mut acc: FxHashMap<StateId, f64> = FxHashMap::default();
             let mut fwd_rows: FxHashMap<StateId, Vec<(StateId, f64)>> = FxHashMap::default();
             for (j, pj) in next_post.iter() {
-                let Some(row) = r_table.row(j) else { continue };
-                for (i, r_ji) in row.iter() {
+                // R(start + step + 1)
+                let Some((cols, probs)) = reversed.row(step, j) else { continue };
+                for (&i, &r_ji) in cols.iter().zip(probs) {
                     let w = r_ji * pj;
                     if w > 0.0 {
                         *acc.entry(i).or_insert(0.0) += w;
@@ -270,19 +208,21 @@ impl ModelAdaptation {
                     time: start + step as Timestamp,
                 });
             }
-            transitions[step] = TransitionTable::from_weights(fwd_rows);
+            fwd_steps.push(fwd_rows);
             let mut dist = SparseDist::from_pairs(acc);
             dist.normalize();
             posterior[step] = dist;
         }
 
-        let kernel = AliasKernel::from_steps(transitions.iter().map(TransitionTable::sorted_rows));
+        let mut kernel = AliasKernel::default();
+        for rows in fwd_steps.into_iter().rev() {
+            kernel.push_step(rows);
+        }
         Ok(AdaptedModel {
             start,
             end,
             forward,
             posterior,
-            transitions,
             kernel,
             observations: observations.to_vec(),
         })
@@ -301,13 +241,11 @@ pub struct AdaptedModel {
     forward: Vec<SparseDist>,
     /// `posterior[k]`: P(o(start+k) = s | all observations Θ).
     posterior: Vec<SparseDist>,
-    /// `transitions[k]`: F(start+k), i.e. rows
-    /// P(o(start+k+1) = s_j | o(start+k) = s_i, Θ).
-    transitions: Vec<TransitionTable>,
-    /// Precomputed Walker/Vose alias tables over all transition rows — the
-    /// O(1) sampling kernel behind [`AdaptedModel::sample_transition`]. A
-    /// deterministic pure function of `transitions`, rebuilt on store load
-    /// rather than serialized.
+    /// The only store of the a-posteriori chain: step `k` holds the rows of
+    /// F(start+k), P(o(start+k+1) = s_j | o(start+k) = s_i, Θ), in CSR form
+    /// with their Walker/Vose alias tables — the O(1) sampling kernel behind
+    /// [`AdaptedModel::sample_transition`] and the slices behind
+    /// [`AdaptedModel::transition_row`].
     kernel: AliasKernel,
     observations: Vec<(Timestamp, StateId)>,
 }
@@ -324,14 +262,15 @@ impl AdaptedModel {
     /// Reassembles a model from its stored parts (the store-loading
     /// counterpart of [`AdaptedModel::build`]). The covered interval is
     /// derived from the first and last observation; `forward` and `posterior`
-    /// must hold one marginal per covered timestamp and `transitions` one
-    /// table per covered step. No probabilistic post-processing happens here
-    /// — the parts are adopted bit-for-bit.
+    /// must hold one marginal per covered timestamp and `transitions` the
+    /// rows of one step per covered step. No probabilistic post-processing
+    /// happens here — the parts are adopted bit-for-bit — but they must pass
+    /// [`AdaptedModel::check_invariants`].
     pub fn from_parts(
         observations: Vec<(Timestamp, StateId)>,
         forward: Vec<SparseDist>,
         posterior: Vec<SparseDist>,
-        transitions: Vec<TransitionTable>,
+        transitions: AliasKernel,
     ) -> Result<Self, &'static str> {
         let Some(&(start, _)) = observations.first() else {
             return Err("adapted model needs at least one observation");
@@ -347,14 +286,13 @@ impl AdaptedModel {
         if posterior.len() != horizon + 1 {
             return Err("posterior marginal count must equal horizon + 1");
         }
-        if transitions.len() != horizon {
+        if transitions.rows().num_steps() != horizon {
             return Err("transition-table count must equal the horizon");
         }
-        // The alias kernel is a deterministic function of the transition
-        // rows, so it is rebuilt here instead of being serialized — the
-        // `.ustore` format carries only the rows (see `ust-persist`).
-        let kernel = AliasKernel::from_steps(transitions.iter().map(TransitionTable::sorted_rows));
-        Ok(AdaptedModel { start, end, forward, posterior, transitions, kernel, observations })
+        let model =
+            AdaptedModel { start, end, forward, posterior, kernel: transitions, observations };
+        model.check_invariants()?;
+        Ok(model)
     }
 
     /// First observed timestamp.
@@ -372,7 +310,7 @@ impl AdaptedModel {
     /// Number of transitions covered (`end - start`).
     #[inline]
     pub fn horizon(&self) -> usize {
-        self.transitions.len()
+        self.kernel.rows().num_steps()
     }
 
     /// Whether timestamp `t` lies in the covered interval `[start, end]`.
@@ -397,22 +335,15 @@ impl AdaptedModel {
         self.index_of(t).map(|k| &self.forward[k])
     }
 
-    /// The a-posteriori transition distribution out of `state` for the step
-    /// `t → t+1`, or `None` if `t` is outside `[start, end)` or `state` is not
-    /// reachable at `t`.
-    pub fn transition_row(&self, t: Timestamp, state: StateId) -> Option<&SparseDist> {
+    /// The a-posteriori transition row out of `state` for the step `t → t+1`
+    /// as parallel `(targets, probabilities)` slices, targets ascending, or
+    /// `None` if `t` is outside `[start, end)` or `state` is not reachable at
+    /// `t`.
+    pub fn transition_row(&self, t: Timestamp, state: StateId) -> Option<(&[StateId], &[f64])> {
         if t < self.start || t >= self.end {
             return None;
         }
-        self.transitions[(t - self.start) as usize].row(state)
-    }
-
-    /// The full transition table for the step `t → t+1`.
-    pub fn transition_table(&self, t: Timestamp) -> Option<&TransitionTable> {
-        if t < self.start || t >= self.end {
-            return None;
-        }
-        Some(&self.transitions[(t - self.start) as usize])
+        self.kernel.rows().row((t - self.start) as usize, state)
     }
 
     /// Draws the next state for the step `t → t+1` out of `state` with one
@@ -464,40 +395,34 @@ impl AdaptedModel {
     ///   posterior support at `t+1`,
     /// * posteriors at observation times are point masses on the observation.
     ///
-    /// Intended for tests and debugging; returns a human-readable description
-    /// of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (k, dist) in self.posterior.iter().enumerate() {
-            if !dist.is_normalized() {
-                return Err(format!("posterior at offset {k} is not normalized"));
-            }
+    /// [`AdaptedModel::from_parts`] runs it on every reassembled model;
+    /// returns a description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), &'static str> {
+        if !self.posterior.iter().all(SparseDist::is_normalized) {
+            return Err("adapted posterior marginal is not normalized");
         }
-        for (k, dist) in self.forward.iter().enumerate() {
-            if !dist.is_normalized() {
-                return Err(format!("forward marginal at offset {k} is not normalized"));
-            }
+        if !self.forward.iter().all(SparseDist::is_normalized) {
+            return Err("adapted forward marginal is not normalized");
         }
-        for (k, table) in self.transitions.iter().enumerate() {
-            let next_support: Vec<StateId> = self.posterior[k + 1].support().collect();
-            for (src, row) in table.iter() {
-                if !row.is_normalized() {
-                    return Err(format!("transition row ({k}, {src}) is not normalized"));
+        let rows = self.kernel.rows();
+        for (k, next) in self.posterior.iter().skip(1).enumerate() {
+            let next = next.entries();
+            for (_, cols, probs) in rows.step(k) {
+                // The same left-to-right fold `SparseDist::is_normalized` uses.
+                let mass: f64 = probs.iter().sum();
+                let normalized = (mass - 1.0).abs() < PROB_EPSILON;
+                if !normalized {
+                    return Err("adapted transition row is not normalized");
                 }
-                for (dst, _) in row.iter() {
-                    if next_support.binary_search(&dst).is_err() {
-                        return Err(format!(
-                            "transition row ({k}, {src}) reaches state {dst} outside the posterior support"
-                        ));
-                    }
+                if cols.iter().any(|&c| next.binary_search_by_key(&c, |&(s, _)| s).is_err()) {
+                    return Err("adapted transition row leaves the posterior support");
                 }
             }
         }
         for &(t, theta) in &self.observations {
             let post = self.posterior_at(t).expect("observation inside the covered interval");
             if (post.prob(theta) - 1.0).abs() > 1e-6 {
-                return Err(format!(
-                    "posterior at observation time {t} is not concentrated on the observed state"
-                ));
+                return Err("adapted posterior is not concentrated on an observation");
             }
         }
         Ok(())
@@ -514,7 +439,6 @@ const _: () = {
     assert_send_sync::<AdaptedModel>();
     assert_send_sync::<ModelAdaptation>();
     assert_send_sync::<AdaptError>();
-    assert_send_sync::<TransitionTable>();
 };
 
 #[cfg(test)]
@@ -668,8 +592,8 @@ mod tests {
         let mut p_adapted = 1.0;
         for (k, w) in path.windows(2).enumerate() {
             let t = 1 + k as Timestamp;
-            let row = adapted.transition_row(t, w[0]).expect("row exists");
-            p_adapted *= row.prob(w[1]);
+            let (cols, probs) = adapted.transition_row(t, w[0]).expect("row exists");
+            p_adapted *= cols.binary_search(&w[1]).map_or(0.0, |i| probs[i]);
         }
         let expected = 0.25 / total;
         assert!((p_adapted - expected).abs() < 1e-9, "{p_adapted} vs {expected}");

@@ -1,30 +1,31 @@
-//! Walker/Vose alias tables over CSR-laid-out adapted transition rows.
+//! Per-step CSR row arenas and the Walker/Vose alias tables built on them.
+//!
+//! Algorithm 2 yields one transition row per reachable `(step, source)` pair
+//! of an object's adapted chain. [`StepRows`] keeps all of them in one sorted
+//! CSR layout of five flat arrays:
+//!
+//! * `step_starts` — per chain step `k`, the range of the rows of step `k`,
+//! * `sources` / `row_starts` — per row, its source state (strictly
+//!   increasing within the step) and the range of its slots,
+//! * `cols` / `probs` — per slot, the target state (strictly increasing
+//!   within the row) and its probability.
+//!
+//! A row lookup is one binary search over the step's sources and yields the
+//! row as two parallel slices. The adaptation's time-reversed tables `R(t)`
+//! use this layout as it is. The a-posteriori chain `F(t)` is stored only as
+//! an [`AliasKernel`]: the same rows plus, per slot, the Vose acceptance
+//! `threshold` and the aliased target `alias`.
 //!
 //! The Monte-Carlo refinement phase draws one transition per object per chain
 //! step per sampled world — at paper scale (10 000 worlds, hundreds of
 //! influence objects, tens of timestamps) that is easily 10⁷–10⁸ categorical
-//! draws per query. [`crate::SparseDist::sample_with`] answers each draw with
-//! a linear inverse-CDF scan, O(support) per draw and one pointer chase per
-//! row lookup (`FxHashMap` row → `Vec` entries).
-//!
-//! An [`AliasKernel`] precomputes, once per [`crate::AdaptedModel`], the
-//! Walker/Vose alias table of every reachable transition row and lays all of
-//! them out in flat CSR-style arenas:
-//!
-//! * `step_starts` — per chain step `k`, the range of rows of `F(start+k)`,
-//! * `sources` / `row_starts` — per row, its source state (sorted within the
-//!   step) and the range of its slots,
-//! * `cols` / `probs` — per slot, the target state and its probability (the
-//!   plain CSR image of the row, used by scans and equivalence tests),
-//! * `threshold` / `alias` — per slot, the Vose acceptance threshold and the
-//!   aliased target.
-//!
-//! A draw is then O(1) after one binary search over the step's sources:
-//! `u · n` selects a slot, its fractional part is compared against the slot's
-//! threshold, and either the slot's own column or its alias wins. Exactly one
-//! uniform `u ∈ [0, 1)` is consumed per transition — the same RNG-draw
-//! discipline as the inverse-CDF path, so prefix sampling and draw-burning
-//! keep working unchanged on top of either kernel.
+//! draws per query. [`crate::SparseDist::sample_with`] answers a draw with a
+//! linear inverse-CDF scan, O(support). The kernel answers it in O(1) after
+//! the row search: `u · n` selects a slot, its fractional part is compared
+//! against the slot's threshold, and either the slot's own column or its
+//! alias wins. Exactly one uniform `u ∈ [0, 1)` is consumed per transition —
+//! the same RNG-draw discipline as the inverse-CDF path, so prefix sampling
+//! and draw-burning keep working unchanged on top of either kernel.
 //!
 //! Alias draws consume `u` differently from inverse-CDF draws, so the two
 //! paths are *not* bit-identical per world; they are distributionally
@@ -33,39 +34,144 @@
 //! `tests/alias_equivalence.rs` pins by construction checks and frequency
 //! comparison on shared `u` streams.
 //!
-//! Construction is deterministic: rows are visited in (step, source-id)
+//! Construction is deterministic: rows are pushed in (step, source-id)
 //! order, the Vose small/large worklists are filled in increasing slot order
 //! and drained LIFO, so equal inputs produce byte-equal kernels on every
 //! platform and thread count.
 
-use crate::sparse::SparseDist;
+use crate::sparse::MIN_NORMALIZABLE_MASS;
 use crate::StateId;
+use rustc_hash::FxHashMap;
+use std::ops::Range;
 
-/// One flattened alias-table slot range: the half-open `[start, end)` window
-/// into the kernel's slot arenas belonging to one transition row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRange {
-    start: usize,
-    end: usize,
+/// Sparse rows of a multi-step chain in one sorted CSR layout (see the
+/// module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepRows {
+    /// `step_starts[k]..step_starts[k+1]` indexes the rows of step `k` in
+    /// `sources`/`row_starts`. One entry more than there are closed steps.
+    step_starts: Vec<u32>,
+    /// Source state of each row, strictly increasing within a step.
+    sources: Vec<StateId>,
+    /// `row_starts[r]..row_starts[r+1]` indexes the slots of row `r` in
+    /// `cols`/`probs`. Length `sources.len() + 1`.
+    row_starts: Vec<u32>,
+    /// Target state of each slot (the CSR column array).
+    cols: Vec<StateId>,
+    /// Probability of each slot's target (the CSR value array).
+    probs: Vec<f64>,
+}
+
+impl Default for StepRows {
+    fn default() -> Self {
+        StepRows {
+            step_starts: vec![0],
+            sources: Vec::new(),
+            row_starts: vec![0],
+            cols: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+}
+
+impl StepRows {
+    /// Appends a row to the open step, verbatim. Sources must arrive in
+    /// strictly increasing order within a step, targets within a row.
+    fn push_row(&mut self, source: StateId, entries: impl IntoIterator<Item = (StateId, f64)>) {
+        let open = *self.step_starts.last().expect("never empty") as usize;
+        debug_assert!(
+            self.sources.len() == open || self.sources.last().is_some_and(|&p| p < source),
+            "rows of a step must arrive in strictly increasing source order"
+        );
+        for (state, p) in entries {
+            self.cols.push(state);
+            self.probs.push(p);
+        }
+        self.sources.push(source);
+        self.row_starts.push(self.cols.len() as u32);
+    }
+
+    /// Appends one step of raw row weights, keyed by source state, and closes
+    /// it. Rows go in ascending source order, each scaled to unit mass bit
+    /// for bit as `SparseDist::from_pairs` followed by `normalize` would:
+    /// entries sorted by target, each weight divided by the left-to-right
+    /// fold of the row. A row whose mass `normalize` would refuse is left
+    /// out. Targets must be distinct within a row and weights positive.
+    pub(crate) fn push_step(&mut self, rows: FxHashMap<StateId, Vec<(StateId, f64)>>) {
+        let mut rows: Vec<(StateId, Vec<(StateId, f64)>)> = rows.into_iter().collect();
+        rows.sort_unstable_by_key(|&(s, _)| s);
+        for (source, mut weights) in rows {
+            weights.sort_unstable_by_key(|&(s, _)| s);
+            debug_assert!(weights.windows(2).all(|w| w[0].0 < w[1].0), "targets must be distinct");
+            let mass: f64 = weights.iter().map(|&(_, w)| w).sum();
+            if mass.is_nan() || mass < MIN_NORMALIZABLE_MASS {
+                continue;
+            }
+            self.push_row(source, weights.into_iter().map(|(s, w)| (s, w / mass)));
+        }
+        self.end_step();
+    }
+
+    /// Closes the open step; rows pushed from here on belong to the next one.
+    fn end_step(&mut self) {
+        self.step_starts.push(self.sources.len() as u32);
+    }
+
+    /// Number of closed steps.
+    #[inline]
+    pub fn num_steps(&self) -> usize {
+        self.step_starts.len() - 1
+    }
+
+    /// The row indices of a closed step, or `None` if `step` is out of range.
+    #[inline]
+    fn step_range(&self, step: usize) -> Option<Range<usize>> {
+        Some(*self.step_starts.get(step)? as usize..*self.step_starts.get(step + 1)? as usize)
+    }
+
+    /// The slot window of row `r`.
+    #[inline]
+    fn slots(&self, r: usize) -> Range<usize> {
+        self.row_starts[r] as usize..self.row_starts[r + 1] as usize
+    }
+
+    /// The slot window of `(step, source)`, found by binary search over the
+    /// step's sorted sources. `None` if the step is out of range or the
+    /// source has no row there.
+    #[inline]
+    fn row_slots(&self, step: usize, source: StateId) -> Option<Range<usize>> {
+        let rows = self.step_range(step)?;
+        let r = rows.start + self.sources[rows].binary_search(&source).ok()?;
+        Some(self.slots(r))
+    }
+
+    /// The row of `(step, source)` as parallel `(targets, probabilities)`
+    /// slices.
+    pub fn row(&self, step: usize, source: StateId) -> Option<(&[StateId], &[f64])> {
+        let slots = self.row_slots(step, source)?;
+        Some((&self.cols[slots.clone()], &self.probs[slots]))
+    }
+
+    /// The rows of `step` as `(source, targets, probabilities)`, in source
+    /// order; empty if `step` is out of range.
+    pub fn step(
+        &self,
+        step: usize,
+    ) -> impl ExactSizeIterator<Item = (StateId, &[StateId], &[f64])> + '_ {
+        self.step_range(step).unwrap_or(0..0).map(move |r| {
+            let slots = self.slots(r);
+            (self.sources[r], &self.cols[slots.clone()], &self.probs[slots])
+        })
+    }
 }
 
 /// Precomputed O(1) sampling kernel of an adapted model: per chain step, the
 /// Walker/Vose alias tables of every reachable row, in flat CSR arenas.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AliasKernel {
-    /// `step_starts[k]..step_starts[k+1]` indexes the rows of step `k` in
-    /// `sources`/`row_starts`. Length `num_steps + 1`.
-    step_starts: Vec<u32>,
-    /// Source state of each row, strictly increasing within a step.
-    sources: Vec<StateId>,
-    /// `row_starts[r]..row_starts[r+1]` indexes the slots of row `r` in
-    /// `cols`/`probs`/`threshold`/`alias`. Length `sources.len() + 1`.
-    row_starts: Vec<u32>,
-    /// Primary target state of each slot (the CSR column array).
-    cols: Vec<StateId>,
-    /// Probability of the slot's primary target (the CSR value array; feeds
-    /// scans and tests, not the draw itself).
-    probs: Vec<f64>,
+    /// The rows themselves; `threshold` and `alias` run parallel to its
+    /// slots.
+    rows: StepRows,
     /// Vose acceptance threshold of each slot, in `[0, 1]`.
     threshold: Vec<f64>,
     /// Aliased target state of each slot (drawn when the fractional part of
@@ -74,52 +180,44 @@ pub struct AliasKernel {
 }
 
 impl AliasKernel {
-    /// Builds the kernel from per-step `(source, row)` lists.
-    ///
-    /// Each step's rows must be sorted by strictly increasing source state —
-    /// [`crate::adapt::TransitionTable::sorted_rows`] provides exactly that —
-    /// so the per-draw binary search and the deterministic layout hold.
-    pub fn from_steps<'a, I, R>(steps: I) -> Self
-    where
-        I: IntoIterator<Item = R>,
-        R: IntoIterator<Item = (StateId, &'a SparseDist)>,
-    {
-        let mut kernel = AliasKernel {
-            step_starts: vec![0],
-            sources: Vec::new(),
-            row_starts: vec![0],
-            cols: Vec::new(),
-            probs: Vec::new(),
-            threshold: Vec::new(),
-            alias: Vec::new(),
-        };
-        for step in steps {
-            for (source, row) in step {
-                debug_assert!(
-                    kernel.sources.len() + 1 == kernel.row_starts.len()
-                        && (kernel.step_starts.last().copied().unwrap_or(0) as usize
-                            == kernel.sources.len()
-                            || kernel.sources.last().is_none_or(|&prev| prev < source)),
-                    "rows of a step must arrive in strictly increasing source order"
-                );
-                kernel.push_row(source, row);
-            }
-            kernel.step_starts.push(kernel.sources.len() as u32);
-        }
-        kernel
+    /// Appends a row to the open step verbatim and builds its alias table.
+    /// Sources must arrive in strictly increasing order within a step,
+    /// targets within a row.
+    pub fn push_row(&mut self, source: StateId, entries: impl IntoIterator<Item = (StateId, f64)>) {
+        self.rows.push_row(source, entries);
+        self.build_alias_table(self.rows.sources.len() - 1);
     }
 
-    /// Appends one row: records its CSR image and runs Vose's O(n) alias
-    /// construction on it.
-    fn push_row(&mut self, source: StateId, row: &SparseDist) {
-        let base = self.cols.len();
-        for (state, p) in row.iter() {
-            self.cols.push(state);
-            self.probs.push(p);
+    /// Appends one step of raw row weights, normalized as
+    /// [`StepRows::push_step`] does, builds each row's alias table and
+    /// closes the step.
+    pub(crate) fn push_step(&mut self, rows: FxHashMap<StateId, Vec<(StateId, f64)>>) {
+        let first = self.rows.sources.len();
+        self.rows.push_step(rows);
+        for r in first..self.rows.sources.len() {
+            self.build_alias_table(r);
         }
-        let n = self.cols.len() - base;
-        self.sources.push(source);
-        self.row_starts.push(self.cols.len() as u32);
+    }
+
+    /// Closes the open step; rows pushed from here on belong to the next one.
+    pub fn end_step(&mut self) {
+        self.rows.end_step();
+    }
+
+    /// The transition rows, without the alias columns.
+    pub fn rows(&self) -> &StepRows {
+        &self.rows
+    }
+
+    /// Runs Vose's O(n) alias construction on row `r`. Rows are built in
+    /// order, so `r` is the first row without a table.
+    fn build_alias_table(&mut self, r: usize) {
+        let slots = self.rows.slots(r);
+        let (base, n) = (slots.start, slots.len());
+        let cols = &self.rows.cols[slots.clone()];
+        let probs = &self.rows.probs[slots];
+        self.threshold.resize(base + n, 1.0);
+        self.alias.extend_from_slice(cols);
         if n == 0 {
             return;
         }
@@ -128,10 +226,9 @@ impl AliasKernel {
         // small slot keeps its own target below its threshold and borrows the
         // large slot's target above it. Worklists are filled in slot order
         // and drained from the back, so the construction is deterministic.
-        let mass = row.total_mass();
-        let mut scaled: Vec<f64> = self.probs[base..].iter().map(|&p| p * n as f64 / mass).collect();
-        self.threshold.resize(base + n, 1.0);
-        self.alias.extend_from_slice(&self.cols[base..]);
+        // The mass is the same left-to-right fold `SparseDist` caches.
+        let mass: f64 = probs.iter().sum();
+        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64 / mass).collect();
         let mut small: Vec<usize> = Vec::new();
         let mut large: Vec<usize> = Vec::new();
         for (i, &s) in scaled.iter().enumerate() {
@@ -144,7 +241,7 @@ impl AliasKernel {
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
             self.threshold[base + s] = scaled[s];
-            self.alias[base + s] = self.cols[base + l];
+            self.alias[base + s] = cols[l];
             // The large slot donated `1 - scaled[s]` of its mass.
             scaled[l] = (scaled[l] + scaled[s]) - 1.0;
             if scaled[l] < 1.0 {
@@ -154,44 +251,6 @@ impl AliasKernel {
         }
         // Leftovers (all ≈ 1 up to rounding) keep threshold 1.0 / self-alias
         // from the initialisation above: they always accept their own target.
-    }
-
-    /// Number of chain steps covered.
-    #[inline]
-    pub fn num_steps(&self) -> usize {
-        self.step_starts.len() - 1
-    }
-
-    /// Total number of stored rows across all steps.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Total number of slots (non-zero transition entries) across all rows.
-    #[inline]
-    pub fn num_slots(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The slot window of `(step, source)`, found by binary search over the
-    /// step's sorted sources. `None` if the step is out of range or the
-    /// source has no row there.
-    #[inline]
-    fn row_range(&self, step: usize, source: StateId) -> Option<SlotRange> {
-        let lo = *self.step_starts.get(step)? as usize;
-        let hi = *self.step_starts.get(step + 1)? as usize;
-        let r = lo + self.sources[lo..hi].binary_search(&source).ok()?;
-        Some(SlotRange {
-            start: self.row_starts[r] as usize,
-            end: self.row_starts[r + 1] as usize,
-        })
-    }
-
-    /// The CSR image of a row: parallel `(targets, probabilities)` slices.
-    pub fn row(&self, step: usize, source: StateId) -> Option<(&[StateId], &[f64])> {
-        let range = self.row_range(step, source)?;
-        Some((&self.cols[range.start..range.end], &self.probs[range.start..range.end]))
     }
 
     /// Draws from the row of `(step, source)` with one uniform `u ∈ [0, 1)`:
@@ -206,8 +265,8 @@ impl AliasKernel {
             u.is_finite() && (0.0..1.0).contains(&u),
             "alias sample requires u in [0, 1), got {u}"
         );
-        let range = self.row_range(step, source)?;
-        let n = range.end - range.start;
+        let slots = self.rows.row_slots(step, source)?;
+        let n = slots.len();
         if n == 0 {
             return None;
         }
@@ -216,8 +275,8 @@ impl AliasKernel {
         // the last slot (the standard guard of the alias method).
         let idx = (scaled as usize).min(n - 1);
         let frac = scaled - idx as f64;
-        let slot = range.start + idx;
-        Some(if frac < self.threshold[slot] { self.cols[slot] } else { self.alias[slot] })
+        let slot = slots.start + idx;
+        Some(if frac < self.threshold[slot] { self.rows.cols[slot] } else { self.alias[slot] })
     }
 
     /// The exact probability the alias table assigns to `target` in the row
@@ -225,14 +284,14 @@ impl AliasKernel {
     /// `u`-values that select it. Used by the equivalence tests to prove the
     /// table is a faithful encoding of the row, independent of sampling.
     pub fn table_probability(&self, step: usize, source: StateId, target: StateId) -> f64 {
-        let Some(range) = self.row_range(step, source) else { return 0.0 };
-        let n = range.end - range.start;
+        let Some(slots) = self.rows.row_slots(step, source) else { return 0.0 };
+        let n = slots.len();
         if n == 0 {
             return 0.0;
         }
         let mut measure = 0.0;
-        for slot in range.start..range.end {
-            if self.cols[slot] == target {
+        for slot in slots {
+            if self.rows.cols[slot] == target {
                 measure += self.threshold[slot];
             }
             if self.alias[slot] == target {
@@ -246,23 +305,37 @@ impl AliasKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseDist;
+
+    /// A kernel holding `steps` verbatim, each step's rows in source order.
+    fn kernel_from(steps: &[&[(StateId, &SparseDist)]]) -> AliasKernel {
+        let mut kernel = AliasKernel::default();
+        for step in steps {
+            for &(source, row) in step.iter() {
+                kernel.push_row(source, row.iter());
+            }
+            kernel.end_step();
+        }
+        kernel
+    }
 
     fn kernel_of(rows: Vec<(StateId, SparseDist)>) -> AliasKernel {
-        AliasKernel::from_steps(vec![rows.iter().map(|(s, d)| (*s, d))])
+        let rows: Vec<(StateId, &SparseDist)> = rows.iter().map(|(s, d)| (*s, d)).collect();
+        kernel_from(&[&rows])
     }
 
     #[test]
     fn empty_kernel_has_no_rows() {
-        let k = AliasKernel::from_steps(Vec::<Vec<(StateId, &SparseDist)>>::new());
-        assert_eq!(k.num_steps(), 0);
-        assert_eq!(k.num_rows(), 0);
+        let k = kernel_from(&[]);
+        assert_eq!(k.rows().num_steps(), 0);
+        assert_eq!(k.rows().step(0).len(), 0);
         assert!(k.sample(0, 0, 0.5).is_none());
     }
 
     #[test]
     fn delta_row_always_returns_its_single_target() {
         let k = kernel_of(vec![(3, SparseDist::delta(7))]);
-        assert_eq!(k.num_slots(), 1);
+        assert_eq!(k.rows().row(0, 3), Some((&[7][..], &[1.0][..])));
         for u in [0.0, 0.25, 0.999] {
             assert_eq!(k.sample(0, 3, u), Some(7));
         }
@@ -321,19 +394,41 @@ mod tests {
 
     #[test]
     fn multi_step_layout_keeps_rows_separate() {
-        let k = AliasKernel::from_steps(vec![
-            vec![(0u32, &SparseDist::delta(1)), (2, &SparseDist::delta(3))],
-            vec![(1u32, &SparseDist::delta(2))],
+        let k = kernel_from(&[
+            &[(0, &SparseDist::delta(1)), (2, &SparseDist::delta(3))],
+            &[(1, &SparseDist::delta(2))],
         ]);
-        assert_eq!(k.num_steps(), 2);
-        assert_eq!(k.num_rows(), 3);
+        assert_eq!(k.rows().num_steps(), 2);
+        assert_eq!((k.rows().step(0).len(), k.rows().step(1).len()), (2, 1));
         assert_eq!(k.sample(0, 0, 0.5), Some(1));
         assert_eq!(k.sample(0, 2, 0.5), Some(3));
         assert_eq!(k.sample(1, 1, 0.5), Some(2));
         assert_eq!(k.sample(1, 0, 0.5), None);
-        let (cols, probs) = k.row(0, 2).unwrap();
+        let (cols, probs) = k.rows().row(0, 2).unwrap();
         assert_eq!(cols, &[3]);
         assert_eq!(probs, &[1.0]);
+    }
+
+    #[test]
+    fn push_step_matches_sparse_dist_normalization_bit_for_bit() {
+        let weights = vec![(9u32, 0.3), (2, 1e-3), (5, 0.7), (7, 1.0 / 3.0)];
+        let mut want = SparseDist::from_pairs(weights.clone());
+        assert!(want.normalize());
+        let mut k = AliasKernel::default();
+        // Sources arrive in hash order and must come out sorted; source 1's
+        // mass is too small for `normalize`, so its row is left out.
+        let step: FxHashMap<StateId, Vec<(StateId, f64)>> =
+            [(6, vec![(0, 1.0)]), (4, weights), (1, vec![(3, f64::MIN_POSITIVE)])].into_iter().collect();
+        k.push_step(step);
+        let rows: Vec<(StateId, Vec<(StateId, u64)>)> = k
+            .rows()
+            .step(0)
+            .map(|(s, cols, probs)| (s, cols.iter().zip(probs).map(|(&c, p)| (c, p.to_bits())).collect()))
+            .collect();
+        let want_bits: Vec<(StateId, u64)> = want.iter().map(|(s, p)| (s, p.to_bits())).collect();
+        assert_eq!(rows, vec![(4, want_bits), (6, vec![(0, 1.0f64.to_bits())])]);
+        let delta = SparseDist::delta(0);
+        assert_eq!(k, kernel_from(&[&[(4, &want), (6, &delta)]]), "same alias tables");
     }
 
     #[test]

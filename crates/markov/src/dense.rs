@@ -277,7 +277,9 @@ mod tests {
             for i in 0..5u32 {
                 for j in 0..5u32 {
                     let d = da.transitions[t as usize].get(i as usize, j as usize);
-                    let s = sa.transition_row(t, i).map(|r| r.prob(j)).unwrap_or(0.0);
+                    let s = sa.transition_row(t, i).map_or(0.0, |(cols, probs)| {
+                        cols.binary_search(&j).map_or(0.0, |at| probs[at])
+                    });
                     assert!(
                         (s - d).abs() < 1e-9,
                         "transition mismatch at t={t}, {i}->{j}: sparse {s} dense {d}"

@@ -1,8 +1,9 @@
 //! Per-structure encoders and validating decoders.
 //!
 //! Encoders write one canonical byte form per value: hash-map-backed
-//! structures (per-object model overrides, transition-table rows) are emitted
-//! in ascending key order, so encode→decode→encode is byte-identical. The
+//! structures (per-object model overrides) are emitted in ascending key
+//! order, and adapted transition rows in the `(step, source)` order of the
+//! arena that holds them, so encode→decode→encode is byte-identical. The
 //! decoders validate every structural invariant the in-memory constructors
 //! rely on — sortedness, positivity, finiteness, ids in range — *before*
 //! handing values to those constructors, so a decoded store can never smuggle
@@ -15,8 +16,7 @@ use crate::format::{ByteReader, ByteWriter};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use ust_index::{Diamond, IndexBuildStats, UstTree};
-use ust_markov::adapt::TransitionTable;
-use ust_markov::{AdaptedModel, CsrMatrix, MarkovModel, SparseDist};
+use ust_markov::{AdaptedModel, AliasKernel, CsrMatrix, MarkovModel, SparseDist};
 use ust_spatial::{Point, Rect2, StateId, StateSpace};
 use ust_trajectory::{ObjectId, Timestamp, TrajectoryDatabase, UncertainObject};
 
@@ -159,21 +159,28 @@ pub(crate) fn decode_model(
 }
 
 // ---------------------------------------------------------------------------
-// Sparse distributions and transition tables
+// Sparse distributions and transition rows
 // ---------------------------------------------------------------------------
 
-pub(crate) fn encode_dist(w: &mut ByteWriter, d: &SparseDist) {
-    w.u64(d.support_size() as u64);
-    for (s, p) in d.iter() {
+/// Writes one sparse row: its length, then its `(state, probability)` pairs.
+fn encode_entries(w: &mut ByteWriter, entries: impl ExactSizeIterator<Item = (StateId, f64)>) {
+    w.u64(entries.len() as u64);
+    for (s, p) in entries {
         w.u32(s);
         w.f64(p);
     }
 }
 
-pub(crate) fn decode_dist(
+pub(crate) fn encode_dist(w: &mut ByteWriter, d: &SparseDist) {
+    encode_entries(w, d.entries().iter().copied());
+}
+
+/// Reads one sparse row, checking that its states are in range and strictly
+/// increasing and its probabilities positive and finite.
+fn decode_entries(
     r: &mut ByteReader<'_>,
     num_states: usize,
-) -> Result<SparseDist, StoreError> {
+) -> Result<Vec<(StateId, f64)>, StoreError> {
     let n = r.count("distribution entries", 12)?;
     let mut entries = Vec::with_capacity(n);
     let mut prev: Option<StateId> = None;
@@ -196,28 +203,17 @@ pub(crate) fn decode_dist(
         prev = Some(state);
         entries.push((state, prob));
     }
-    // Sorted, duplicate-free, strictly positive: `from_pairs` keeps the
-    // entries verbatim and recomputes the cached mass with the same
-    // left-to-right fold the original used — bit-identical round trip.
-    Ok(SparseDist::from_pairs(entries))
+    Ok(entries)
 }
 
-pub(crate) fn encode_table(w: &mut ByteWriter, table: &TransitionTable) {
-    let mut rows: Vec<(StateId, &SparseDist)> = table.iter().collect();
-    rows.sort_unstable_by_key(|&(s, _)| s);
-    w.u64(rows.len() as u64);
-    for (state, dist) in rows {
-        w.u32(state);
-        encode_dist(w, dist);
-    }
-}
-
-pub(crate) fn decode_table(
+/// Reads the rows of one adapted step straight into `kernel`, then closes
+/// the step. The rows were stored normalized and are adopted verbatim.
+fn decode_step(
     r: &mut ByteReader<'_>,
     num_states: usize,
-) -> Result<TransitionTable, StoreError> {
+    kernel: &mut AliasKernel,
+) -> Result<(), StoreError> {
     let n = r.count("transition-table rows", 12)?;
-    let mut rows = Vec::with_capacity(n);
     let mut prev: Option<StateId> = None;
     for _ in 0..n {
         let state = r.u32()?;
@@ -232,11 +228,10 @@ pub(crate) fn decode_table(
             });
         }
         prev = Some(state);
-        rows.push((state, decode_dist(r, num_states)?));
+        kernel.push_row(state, decode_entries(r, num_states)?);
     }
-    // Rows were stored already normalized; `from_rows` must not renormalize
-    // them (that would change the bits).
-    Ok(TransitionTable::from_rows(rows))
+    kernel.end_step();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -258,9 +253,13 @@ pub(crate) fn encode_adapted(w: &mut ByteWriter, m: &AdaptedModel) {
         // lint: allow(P001) encode side: t iterates the model's own [start, end] range
         encode_dist(w, m.posterior_at(t).expect("t inside the covered interval"));
     }
-    for t in m.start()..m.end() {
-        // lint: allow(P001) encode side: t iterates the model's own [start, end) range
-        encode_table(w, m.transition_table(t).expect("t inside [start, end)"));
+    for step in 0..m.horizon() {
+        let rows = m.alias_kernel().rows().step(step);
+        w.u64(rows.len() as u64);
+        for (state, cols, probs) in rows {
+            w.u32(state);
+            encode_entries(w, cols.iter().copied().zip(probs.iter().copied()));
+        }
     }
 }
 
@@ -302,26 +301,27 @@ pub(crate) fn decode_adapted(
         });
     }
     let horizon = horizon as usize;
+    // Marginal entries are sorted, duplicate-free and strictly positive, so
+    // `from_pairs` keeps them verbatim and recomputes the cached mass with
+    // the same left-to-right fold the original used — bit-identical.
     // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
     let mut forward = Vec::with_capacity(horizon + 1);
     for _ in 0..=horizon {
-        forward.push(decode_dist(r, num_states)?);
+        forward.push(SparseDist::from_pairs(decode_entries(r, num_states)?));
     }
     // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
     let mut posterior = Vec::with_capacity(horizon + 1);
     for _ in 0..=horizon {
-        posterior.push(decode_dist(r, num_states)?);
+        posterior.push(SparseDist::from_pairs(decode_entries(r, num_states)?));
     }
-    // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
-    let mut transitions = Vec::with_capacity(horizon);
+    // The alias columns are not part of the MODELS section: they are a
+    // deterministic pure function of the transition rows, rebuilt row by row
+    // as the rows land in the arena — so a store-loaded model samples
+    // identically to the freshly adapted one it was encoded from.
+    let mut transitions = AliasKernel::default();
     for _ in 0..horizon {
-        transitions.push(decode_table(r, num_states)?);
+        decode_step(r, num_states, &mut transitions)?;
     }
-    // The alias-table sampling kernel is NOT part of the MODELS section:
-    // it is a deterministic pure function of the transition rows, and
-    // `from_parts` rebuilds it from the decoded rows — so a store-loaded
-    // model samples identically to the freshly adapted one it was encoded
-    // from, with zero format change.
     AdaptedModel::from_parts(observations, forward, posterior, transitions)
         .map_err(|context| StoreError::Malformed { context })
 }

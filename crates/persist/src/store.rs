@@ -288,7 +288,7 @@ pub fn read_store(path: impl AsRef<Path>) -> Result<LoadedStore, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ust_markov::{CsrMatrix, MarkovModel};
+    use ust_markov::{AdaptedModel, CsrMatrix, MarkovModel};
     use ust_spatial::{Point, StateSpace};
     use ust_trajectory::UncertainObject;
 
@@ -405,6 +405,33 @@ mod tests {
         assert_eq!(
             decode_store(&w.into_bytes()).unwrap_err(),
             StoreError::MissingSection { section: section::DATABASE }
+        );
+    }
+
+    #[test]
+    fn a_non_stochastic_transition_row_is_rejected_on_load() {
+        // Object 9's override chain is deterministic, so every row of its
+        // adapted model is a point mass, and the MODELS section — written
+        // last — ends with the probability 1.0 of the model's last row.
+        let db = tiny_database();
+        let pairs = db.object(9).unwrap().observation_pairs();
+        let model = AdaptedModel::build(db.model_for(9).as_ref(), &pairs).unwrap();
+        let models = vec![(9, Arc::new(model))];
+        let mut bytes = encode_store(&StoreContents { database: &db, index: None, models: &models });
+        let end = bytes.len();
+        assert_eq!(bytes[end - 8..], 1.0f64.to_le_bytes());
+        bytes[end - 8..].copy_from_slice(&0.5f64.to_le_bytes());
+        // Re-seal the MODELS checksum so the bytes pass the integrity gate
+        // and reach the codec. Header: magic(8) version(4) count(4); frame:
+        // id(4) length(8) checksum(8) payload.
+        let db_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
+        let frame = 36 + db_len;
+        assert_eq!(bytes[frame..frame + 4], section::MODELS.to_le_bytes());
+        let checksum = fnv1a64(&bytes[frame + 20..]);
+        bytes[frame + 12..frame + 20].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            decode_store(&bytes).unwrap_err(),
+            StoreError::Malformed { context: "adapted transition row is not normalized" }
         );
     }
 

@@ -128,3 +128,26 @@ fn adapted_models_survive_with_their_distributions() {
         }
     }
 }
+
+/// FNV-1a digest of [`store_format_pin_bytes`], pinned from the encoder
+/// before the transition rows moved into the alias arena. Any change to
+/// how MODELS rows are laid out, ordered or rounded moves this value.
+const PINNED_MODELS_STORE_DIGEST: u64 = 11_497_709_447_561_778_887;
+
+/// The encoded bytes of one seeded database + models store. The TREE
+/// section is left out because it embeds the build's wall time.
+fn store_format_pin_bytes() -> Vec<u8> {
+    let w = common::build_workload(30, 5, 7, 2024);
+    encode_store(&StoreContents { database: &w.db, index: None, models: &w.models })
+}
+
+#[test]
+fn models_store_bytes_match_the_pinned_digest() {
+    let bytes = store_format_pin_bytes();
+    assert_eq!(
+        ust_persist::format::fnv1a64(&bytes),
+        PINNED_MODELS_STORE_DIGEST,
+        "the .ustore encoding of a fixed workload changed ({} bytes)",
+        bytes.len()
+    );
+}

@@ -5,6 +5,7 @@
 use pnnq::prelude::*;
 use ust_core::exact::exact_pnn;
 use ust_core::snapshot::{snapshot_exists_nn, snapshot_forall_nn};
+use ust_sampling::hoeffding::confidence_radius;
 
 /// A small but non-trivial synthetic dataset shared by the tests.
 fn dataset() -> Dataset {
@@ -197,7 +198,8 @@ fn sampling_agrees_with_exact_enumeration_on_a_restricted_instance() {
         },
         1.0,
     );
-    let engine = QueryEngine::new(&ds.database, EngineConfig { num_samples: 6_000, seed: 8, ..Default::default() });
+    const WORLDS: usize = 6_000;
+    let engine = QueryEngine::new(&ds.database, EngineConfig { num_samples: WORLDS, seed: 8, ..Default::default() });
     let workload = QueryWorkload::generate_covered(
         &ds.network,
         &ds.database,
@@ -211,25 +213,38 @@ fn sampling_agrees_with_exact_enumeration_on_a_restricted_instance() {
         .iter()
         .map(|&id| (id, engine.adapted_model(id).unwrap()))
         .collect();
-    let exact = match exact_pnn(&models, ds.database.state_space(), &query, 2_000_000) {
-        Ok(result) => result,
-        Err(_) => return, // instance too large for exact enumeration: skip
-    };
+    let exact = exact_pnn(&models, ds.database.state_space(), &query, 2_000_000)
+        .expect("the restricted instance must stay within the exact-enumeration budget");
     let forall = engine.pforall_nn(&query, 0.0).unwrap();
     let exists = engine.pexists_nn(&query, 0.0).unwrap();
-    for (&id, &p_exact) in &exact.forall {
-        assert!(
-            (forall.probability_of(id) - p_exact).abs() < 0.05,
-            "P∀NN mismatch for object {id}: sampled {} vs exact {p_exact}",
-            forall.probability_of(id)
-        );
-    }
-    for (&id, &p_exact) in &exact.exists {
-        assert!(
-            (exists.probability_of(id) - p_exact).abs() < 0.05,
-            "P∃NN mismatch for object {id}: sampled {} vs exact {p_exact}",
-            exists.probability_of(id)
-        );
+    // Every object either side reports, so a sampled false positive fails too.
+    let union = |exact: Vec<ObjectId>, sampled: &QueryOutcome| {
+        let mut ids: Vec<ObjectId> =
+            exact.into_iter().chain(sampled.results.iter().map(|r| r.object)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let comparisons = [
+        ("P∀NN", &exact.forall, &forall, union(exact.forall.keys().copied().collect(), &forall)),
+        ("P∃NN", &exact.exists, &exists, union(exact.exists.keys().copied().collect(), &exists)),
+    ];
+    // Hoeffding radius at the sampled world count, with a union bound over
+    // all m comparisons: every estimate lies within it with probability at
+    // least 1 - DELTA.
+    const DELTA: f64 = 1e-3;
+    let m: usize = comparisons.iter().map(|(.., ids)| ids.len()).sum();
+    assert!(m > 0, "the instance must compare at least one object");
+    let radius = confidence_radius(WORLDS, DELTA / m as f64);
+    for (name, exact, sampled, ids) in &comparisons {
+        for &id in ids {
+            let p_exact = exact.get(&id).copied().unwrap_or(0.0);
+            let p_sampled = sampled.probability_of(id);
+            assert!(
+                (p_sampled - p_exact).abs() <= radius,
+                "{name} mismatch for object {id}: sampled {p_sampled} vs exact {p_exact} (radius {radius})"
+            );
+        }
     }
 }
 
