@@ -1,9 +1,11 @@
 //! The parallel, stampede-free model-preparation ("TS") subsystem.
 //!
-//! The forward–backward adaptation of Section 5.2 dominates query time (the
-//! fig06 runs spend ~100 ms adapting 150 objects vs ~5 ms sampling), and each
-//! object's adaptation is independent of every other object's — the phase is
-//! embarrassingly parallel. This module provides the two pieces the engine
+//! The forward–backward adaptation of Section 5.2 is a large share of a cold
+//! query: on the whole-query benchmark's `cold_query` workload (10 000
+//! states, b = 8, one thread on a 2-vCPU machine) a query spends about as
+//! long adapting its influence objects as sampling their worlds, ~11 ms
+//! each. Each object's adaptation is independent of every other object's —
+//! the phase is embarrassingly parallel. This module provides the two pieces the engine
 //! builds on:
 //!
 //! * [`AdaptationCache`] — a sharded cache of a-posteriori models whose

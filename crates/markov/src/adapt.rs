@@ -17,25 +17,39 @@
 //! consistent with all observations, drawn exactly with its possible-world
 //! probability.
 //!
-//! The construction has two phases (both `O(|T| · nnz)` with the sparse
-//! representation used here):
+//! The construction has two phases, both `O(|T| · nnz)` over the states
+//! the object can reach:
 //!
 //! 1. **Forward phase** — walk time forward from the first observation,
-//!    propagating the belief state and materialising the *time-reversed*
-//!    chain `R^o(t)_{ij} = P(o(t-1)=s_j | o(t)=s_i, past^o(t))` via Bayes'
-//!    theorem (Lemma 4). Each observation reached collapses the belief to the
-//!    observed state.
-//! 2. **Backward phase** — walk time backwards from the last observation
-//!    using `R^o(t)`, which (by the reverse Markov property, Lemma 5)
-//!    propagates the information of *future* observations into the past and
-//!    yields both the a-posteriori transition matrices `F^o(t)` and the
-//!    a-posteriori marginals `P(o(t) = s | Θ^o)`.
+//!    propagating the belief state `P(o(t) = s | past^o(t))`. Each
+//!    observation reached collapses the belief to the observed state. The
+//!    paper materialises the *time-reversed* chain
+//!    `R^o(t)_{ij} = P(o(t-1)=s_j | o(t)=s_i, past^o(t))` here via Bayes'
+//!    theorem (Lemma 4): `R_ij(t) = M_ji(t-1) · p_j(t-1) / m_i(t)`, with
+//!    `p_j(t-1)` the belief and `m_i(t)` the unnormalised predicted mass of
+//!    `s_i`. The numerator is recomputed from the a-priori row and the
+//!    stored belief when it is needed, so the pass keeps only the masses.
+//! 2. **Backward phase** — walk time backwards from the last observation,
+//!    propagating the information of *future* observations into the past
+//!    (the reverse Markov property, Lemma 5). Step `t` yields the rows of
+//!    `F^o(t)`, `F_ij(t) ∝ R_ji(t+1) · P(o(t+1) = s_j | Θ^o)`, and their
+//!    masses are the a-posteriori marginal `P(o(t) = s_i | Θ^o)` up to
+//!    normalisation.
+//!
+//! Neither phase builds a hash map. The forward phase sums each step's
+//! predicted masses in a dense accumulator indexed by state id and sorts
+//! the touched states. The backward phase *pushes*: it walks the a-priori
+//! row of every state of the belief at `t`, in ascending state order, and
+//! looks up the mass and the posterior at `t+1` of each target in a dense
+//! buffer. Every row of `F(t)` so comes out sorted by target, with its
+//! weights formed in the same order as the pull through `R(t+1)` forms
+//! them, and is normalised straight into the [`AliasKernel`] arena. All
+//! sums run in ascending state order, so the output is deterministic.
 
 use crate::alias::{AliasKernel, StepRows};
 use crate::model::TransitionModel;
-use crate::sparse::{SparseDist, PROB_EPSILON};
+use crate::sparse::{is_normalizable, SparseDist, PROB_EPSILON};
 use crate::{StateId, Timestamp};
-use rustc_hash::FxHashMap;
 
 /// Errors produced by the model adaptation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +127,9 @@ impl ModelAdaptation {
         model: &M,
         observations: &[(Timestamp, StateId)],
     ) -> Result<AdaptedModel, AdaptError> {
-        let first = *observations.first().ok_or(AdaptError::NoObservations)?;
+        if observations.is_empty() {
+            return Err(AdaptError::NoObservations);
+        }
         if observations.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err(AdaptError::UnsortedObservations);
         }
@@ -122,110 +138,196 @@ impl ModelAdaptation {
                 return Err(AdaptError::StateOutOfRange { time, state });
             }
         }
-        let last = *observations.last().expect("non-empty");
-        let start = first.0;
-        let end = last.0;
-        let horizon = (end - start) as usize;
-        let obs_at: FxHashMap<Timestamp, StateId> = observations.iter().copied().collect();
-
-        // ------------------------------------------------------------------
-        // Forward phase: belief propagation + time-reversed chain R(t).
-        // ------------------------------------------------------------------
-        let mut forward: Vec<SparseDist> = Vec::with_capacity(horizon + 1);
-        // Step k of `reversed` is R(start + k + 1): rows indexed by the state
-        // at time t = start+k+1, each a distribution over states at time t-1.
-        let mut reversed = StepRows::default();
-
-        let mut belief = SparseDist::delta(first.1);
-        forward.push(belief.clone());
-
-        for step in 1..=horizon {
-            let t = start + step as Timestamp;
-            let mut acc: FxHashMap<StateId, f64> = FxHashMap::default();
-            let mut back_rows: FxHashMap<StateId, Vec<(StateId, f64)>> = FxHashMap::default();
-            for (j, pj) in belief.iter() {
-                let (cols, vals) = model.row(j, t - 1);
-                if cols.is_empty() {
-                    continue;
-                }
-                let uniform = 1.0 / cols.len() as f64;
-                for (idx, &i) in cols.iter().enumerate() {
-                    let m_ji = if self.uniform_transitions { uniform } else { vals[idx] };
-                    let w = m_ji * pj;
-                    if w > 0.0 {
-                        *acc.entry(i).or_insert(0.0) += w;
-                        back_rows.entry(i).or_default().push((j, w));
-                    }
-                }
-            }
-            if acc.is_empty() {
-                return Err(AdaptError::ContradictoryObservations { time: t });
-            }
-            reversed.push_step(back_rows);
-
-            let mut new_belief = SparseDist::from_pairs(acc);
-            new_belief.normalize();
-
-            if let Some(&theta) = obs_at.get(&t) {
-                if new_belief.prob(theta) <= 0.0 {
-                    return Err(AdaptError::ContradictoryObservations { time: t });
-                }
-                belief = SparseDist::delta(theta);
-            } else {
-                belief = new_belief;
-            }
-            forward.push(belief.clone());
-        }
-
-        // ------------------------------------------------------------------
-        // Backward phase: a-posteriori marginals and transitions F(t).
-        // ------------------------------------------------------------------
-        let mut posterior: Vec<SparseDist> = vec![SparseDist::new(); horizon + 1];
-        // The rows of F(start + step), produced last step first; the arena
-        // takes them in step order once the pass is done.
-        let mut fwd_steps = Vec::with_capacity(horizon);
-        posterior[horizon] = SparseDist::delta(last.1);
-
-        for step in (0..horizon).rev() {
-            let next_post = posterior[step + 1].clone();
-            let mut acc: FxHashMap<StateId, f64> = FxHashMap::default();
-            let mut fwd_rows: FxHashMap<StateId, Vec<(StateId, f64)>> = FxHashMap::default();
-            for (j, pj) in next_post.iter() {
-                // R(start + step + 1)
-                let Some((cols, probs)) = reversed.row(step, j) else { continue };
-                for (&i, &r_ji) in cols.iter().zip(probs) {
-                    let w = r_ji * pj;
-                    if w > 0.0 {
-                        *acc.entry(i).or_insert(0.0) += w;
-                        fwd_rows.entry(i).or_default().push((j, w));
-                    }
-                }
-            }
-            if acc.is_empty() {
-                // The forward phase guarantees a consistent corridor, so this
-                // can only be triggered by numerical underflow.
-                return Err(AdaptError::ContradictoryObservations {
-                    time: start + step as Timestamp,
-                });
-            }
-            fwd_steps.push(fwd_rows);
-            let mut dist = SparseDist::from_pairs(acc);
-            dist.normalize();
-            posterior[step] = dist;
-        }
-
-        let mut kernel = AliasKernel::default();
-        for rows in fwd_steps.into_iter().rev() {
-            kernel.push_step(rows);
-        }
+        let (forward, masses) = self.forward_pass(model, observations)?;
+        let (posterior, kernel) = self.backward_pass(model, observations, &forward, &masses)?;
         Ok(AdaptedModel {
-            start,
-            end,
+            start: observations[0].0,
+            end: observations[observations.len() - 1].0,
             forward,
             posterior,
             kernel,
             observations: observations.to_vec(),
         })
+    }
+
+    /// The a-priori row of `state` for the step `t → t+1` as `(target, m)`
+    /// pairs in ascending target order; under "FBU" every `m` is uniform.
+    fn prior_row<'m, M: TransitionModel>(
+        &self,
+        model: &'m M,
+        state: StateId,
+        t: Timestamp,
+    ) -> impl Iterator<Item = (StateId, f64)> + 'm {
+        let (cols, vals) = model.row(state, t);
+        let uniform = self.uniform_transitions.then(|| 1.0 / cols.len() as f64);
+        cols.iter().zip(vals).map(move |(&j, &m)| (j, uniform.unwrap_or(m)))
+    }
+
+    /// Forward phase: the belief at every covered timestamp, and per step
+    /// `k` (the transition into `start + k + 1`) the unnormalised predicted
+    /// mass `m_j` of every state whose mass `SparseDist::normalize` would
+    /// accept — the states whose row of R(t) exists.
+    fn forward_pass<M: TransitionModel>(
+        &self,
+        model: &M,
+        observations: &[(Timestamp, StateId)],
+    ) -> Result<(Vec<SparseDist>, StepMasses), AdaptError> {
+        let (start, first) = observations[0];
+        let horizon = (observations[observations.len() - 1].0 - start) as usize;
+        let mut forward = Vec::with_capacity(horizon + 1);
+        forward.push(SparseDist::delta(first));
+        let mut masses = StepMasses::default();
+        // Dense accumulator: `acc[j]` is zero exactly when `j` is not in
+        // `touched`, since only positive weights are added.
+        let mut acc = vec![0.0f64; model.num_states()];
+        let mut touched: Vec<StateId> = Vec::new();
+        let mut pending = observations[1..].iter().peekable();
+
+        for step in 1..=horizon {
+            let t = start + step as Timestamp;
+            for (i, p_i) in forward[step - 1].iter() {
+                for (j, m_ij) in self.prior_row(model, i, t - 1) {
+                    let w = m_ij * p_i;
+                    if w > 0.0 {
+                        if acc[j as usize] == 0.0 {
+                            touched.push(j);
+                        }
+                        acc[j as usize] += w;
+                    }
+                }
+            }
+            if touched.is_empty() {
+                return Err(AdaptError::ContradictoryObservations { time: t });
+            }
+            touched.sort_unstable();
+            let predicted: Vec<(StateId, f64)> =
+                touched.drain(..).map(|j| (j, std::mem::take(&mut acc[j as usize]))).collect();
+            masses.push_step(predicted.iter().copied().filter(|&(_, m)| is_normalizable(m)));
+
+            let mut belief = SparseDist::from_sorted_unchecked(predicted);
+            belief.normalize();
+            if let Some(&(_, theta)) = pending.next_if(|&&(time, _)| time == t) {
+                if belief.prob(theta) <= 0.0 {
+                    return Err(AdaptError::ContradictoryObservations { time: t });
+                }
+                belief = SparseDist::delta(theta);
+            }
+            forward.push(belief);
+        }
+        Ok((forward, masses))
+    }
+
+    /// Backward phase: the posterior marginals and the rows of F(t).
+    ///
+    /// The row of `s_i` at `t` is pushed from the a-priori row of `s_i`:
+    /// each target `s_j` with a predicted mass `m_j` at `t+1` gets the
+    /// weight `((M_ij · p_i) / m_j) · post_j`, which is the time-reversed
+    /// probability `R_ji(t+1)` times the posterior of `s_j`. The row's mass
+    /// is the unnormalised posterior of `s_i`.
+    fn backward_pass<M: TransitionModel>(
+        &self,
+        model: &M,
+        observations: &[(Timestamp, StateId)],
+        forward: &[SparseDist],
+        masses: &StepMasses,
+    ) -> Result<(Vec<SparseDist>, AliasKernel), AdaptError> {
+        let start = observations[0].0;
+        let horizon = forward.len() - 1;
+        let mut posterior = vec![SparseDist::new(); horizon + 1];
+        posterior[horizon] = SparseDist::delta(observations[observations.len() - 1].1);
+        // `next[j]`: the predicted mass and the posterior of `s_j` at `t+1`,
+        // zero for every state outside the step being processed.
+        let mut next = vec![(0.0f64, 0.0f64); model.num_states()];
+        // The rows of F(t), normalised, last step first.
+        let mut staged = StepRows::default();
+        let mut row: Vec<(StateId, f64)> = Vec::new();
+
+        for step in (0..horizon).rev() {
+            let t = start + step as Timestamp;
+            let step_masses = masses.step(step);
+            for &(j, m_j) in step_masses {
+                next[j as usize].0 = m_j;
+            }
+            for (j, post_j) in posterior[step + 1].iter() {
+                next[j as usize].1 = post_j;
+            }
+            let mut sums: Vec<(StateId, f64)> = Vec::new();
+            for (i, p_i) in forward[step].iter() {
+                row.clear();
+                for (j, m_ij) in self.prior_row(model, i, t) {
+                    let (m_j, post_j) = next[j as usize];
+                    if m_j > 0.0 {
+                        let w = ((m_ij * p_i) / m_j) * post_j;
+                        if w > 0.0 {
+                            row.push((j, w));
+                        }
+                    }
+                }
+                if row.is_empty() {
+                    continue;
+                }
+                let mass: f64 = row.iter().map(|&(_, w)| w).sum();
+                if !is_normalizable(mass) {
+                    // `s_i` keeps posterior mass but its row cannot be
+                    // normalised: only numerical underflow gets here.
+                    return Err(AdaptError::ContradictoryObservations { time: t });
+                }
+                staged.push_row(i, row.iter().map(|&(j, w)| (j, w / mass)));
+                sums.push((i, mass));
+            }
+            for &(j, _) in step_masses {
+                next[j as usize] = (0.0, 0.0);
+            }
+            for (j, _) in posterior[step + 1].iter() {
+                next[j as usize] = (0.0, 0.0);
+            }
+            if sums.is_empty() {
+                // The forward phase guarantees a consistent corridor, so this
+                // can only be triggered by numerical underflow.
+                return Err(AdaptError::ContradictoryObservations { time: t });
+            }
+            staged.end_step();
+            let mut dist = SparseDist::from_sorted_unchecked(sums);
+            dist.normalize();
+            posterior[step] = dist;
+        }
+
+        let mut kernel = AliasKernel::default();
+        for k in (0..horizon).rev() {
+            for (source, cols, probs) in staged.step(k) {
+                kernel.push_row(source, cols.iter().copied().zip(probs.iter().copied()));
+            }
+            kernel.end_step();
+        }
+        Ok((posterior, kernel))
+    }
+}
+
+/// The unnormalised predicted masses of the forward phase: per step, the
+/// `(state, mass)` pairs in ascending state order, in one flat arena.
+#[derive(Debug)]
+struct StepMasses {
+    /// `step_starts[k]..step_starts[k+1]` indexes the masses of step `k`.
+    step_starts: Vec<usize>,
+    masses: Vec<(StateId, f64)>,
+}
+
+impl Default for StepMasses {
+    fn default() -> Self {
+        StepMasses { step_starts: vec![0], masses: Vec::new() }
+    }
+}
+
+impl StepMasses {
+    /// Appends the masses of the next step, in ascending state order.
+    fn push_step(&mut self, masses: impl IntoIterator<Item = (StateId, f64)>) {
+        self.masses.extend(masses);
+        self.step_starts.push(self.masses.len());
+    }
+
+    /// The masses of step `k`.
+    fn step(&self, k: usize) -> &[(StateId, f64)] {
+        &self.masses[self.step_starts[k]..self.step_starts[k + 1]]
     }
 }
 
@@ -391,6 +493,8 @@ impl AdaptedModel {
     /// Validates the stochastic invariants of the adapted model:
     /// * every posterior and forward marginal is a probability distribution,
     /// * every transition row is a probability distribution,
+    /// * every state of the posterior support at time `t < end` has a
+    ///   transition row at `t` (the sampler draws from it),
     /// * the support of each transition row at time `t` is contained in the
     ///   posterior support at `t+1`,
     /// * posteriors at observation times are point masses on the observation.
@@ -406,6 +510,9 @@ impl AdaptedModel {
         }
         let rows = self.kernel.rows();
         for (k, next) in self.posterior.iter().skip(1).enumerate() {
+            if self.posterior[k].support().any(|s| rows.row(k, s).is_none()) {
+                return Err("adapted posterior state has no transition row");
+            }
             let next = next.entries();
             for (_, cols, probs) in rows.step(k) {
                 // The same left-to-right fold `SparseDist::is_normalized` uses.
@@ -485,6 +592,21 @@ mod tests {
     }
 
     #[test]
+    fn an_underflowing_row_is_an_error_not_a_hole() {
+        // From s0 the object reaches s1 with probability ~1e-300 and s2
+        // otherwise; both lead to s3. The posterior keeps s1 at t=1, but the
+        // mass of its row there is below what `normalize` accepts.
+        let m = MarkovModel::homogeneous(CsrMatrix::from_rows(vec![
+            vec![(1, 1e-300), (2, 1.0)],
+            vec![(3, 1.0)],
+            vec![(3, 1.0)],
+            vec![(3, 1.0)],
+        ]));
+        let err = ModelAdaptation::new().adapt(&m, &[(0, 0), (2, 3)]).unwrap_err();
+        assert_eq!(err, AdaptError::ContradictoryObservations { time: 1 });
+    }
+
+    #[test]
     fn single_observation_is_a_point_mass() {
         let m = example_o1_model();
         let adapted = AdaptedModel::build(&m, &[(5, 1)]).unwrap();
@@ -509,13 +631,13 @@ mod tests {
     }
 
     /// Brute-force reference: enumerate all trajectories of the a-priori
-    /// chain starting at the first observation, keep the ones hitting all
-    /// observations, normalize, and compute marginals / transition
-    /// probabilities from them.
-    fn brute_force_posterior(
+    /// chain starting at the first observation and keep the ones hitting all
+    /// observations. Returns them with their a-priori probabilities, and the
+    /// total probability of the kept ones.
+    fn consistent_paths(
         model: &MarkovModel,
         obs: &[(Timestamp, StateId)],
-    ) -> (Vec<FxHashMap<StateId, f64>>, f64) {
+    ) -> (Vec<(Vec<StateId>, f64)>, f64) {
         let start = obs[0].0;
         let end = obs[obs.len() - 1].0;
         let horizon = (end - start) as usize;
@@ -533,21 +655,23 @@ mod tests {
             }
             paths = next;
         }
-        // Filter on all observations.
-        let mut total = 0.0;
-        let mut kept: Vec<(Vec<StateId>, f64)> = Vec::new();
-        for (path, p) in paths {
-            let ok = obs.iter().all(|&(t, s)| path[(t - start) as usize] == s);
-            if ok {
-                total += p;
-                kept.push((path, p));
-            }
-        }
-        let mut marginals: Vec<FxHashMap<StateId, f64>> =
-            vec![FxHashMap::default(); horizon + 1];
+        paths.retain(|(path, _)| obs.iter().all(|&(t, s)| path[(t - start) as usize] == s));
+        let total = paths.iter().map(|(_, p)| p).sum();
+        (paths, total)
+    }
+
+    /// Brute-force marginals, indexed by timestamp offset and state: the
+    /// consistent paths of [`consistent_paths`], normalized and summed.
+    fn brute_force_posterior(
+        model: &MarkovModel,
+        obs: &[(Timestamp, StateId)],
+    ) -> (Vec<Vec<f64>>, f64) {
+        let (kept, total) = consistent_paths(model, obs);
+        let horizon = (obs[obs.len() - 1].0 - obs[0].0) as usize;
+        let mut marginals = vec![vec![0.0; model.num_states()]; horizon + 1];
         for (path, p) in &kept {
             for (k, &s) in path.iter().enumerate() {
-                *marginals[k].entry(s).or_insert(0.0) += p / total;
+                marginals[k][s as usize] += p / total;
             }
         }
         (marginals, total)
@@ -566,7 +690,7 @@ mod tests {
             let t = 1 + k as Timestamp;
             let post = adapted.posterior_at(t).unwrap();
             for s in 0..4u32 {
-                let expected = marginal.get(&s).copied().unwrap_or(0.0);
+                let expected = marginal[s as usize];
                 assert!(
                     (post.prob(s) - expected).abs() < 1e-9,
                     "t={t} s={s}: adapted {} vs brute force {expected}",
@@ -649,6 +773,98 @@ mod tests {
                 m.matrix_at(3).get(s, 0) > 0.0,
                 "state {s} cannot reach the final observation"
             );
+        }
+    }
+
+    /// A time-inhomogeneous chain over three states: every step has its own
+    /// turning probabilities, so reading a row at `t + 1` instead of `t`
+    /// changes the posteriors and the path probabilities.
+    fn time_varying_model() -> MarkovModel {
+        MarkovModel::time_varying(vec![
+            CsrMatrix::from_rows(vec![
+                vec![(0, 0.7), (1, 0.3)],
+                vec![(0, 0.2), (1, 0.3), (2, 0.5)],
+                vec![(1, 0.6), (2, 0.4)],
+            ]),
+            CsrMatrix::from_rows(vec![
+                vec![(0, 0.1), (2, 0.9)],
+                vec![(1, 0.5), (2, 0.5)],
+                vec![(0, 0.3), (1, 0.3), (2, 0.4)],
+            ]),
+            CsrMatrix::from_rows(vec![
+                vec![(0, 0.5), (1, 0.5)],
+                vec![(0, 0.6), (2, 0.4)],
+                vec![(1, 0.8), (2, 0.2)],
+            ]),
+            CsrMatrix::from_rows(vec![
+                vec![(0, 0.4), (2, 0.6)],
+                vec![(0, 0.9), (1, 0.1)],
+                vec![(0, 0.25), (2, 0.75)],
+            ]),
+        ])
+    }
+
+    /// `model` with every row replaced by the uniform distribution over its
+    /// support: the a-priori chain the "FBU" ablation conditions.
+    fn uniformized(model: &MarkovModel) -> MarkovModel {
+        let MarkovModel::TimeVarying(matrices) = model else { unreachable!("time-varying") };
+        MarkovModel::time_varying(
+            matrices
+                .iter()
+                .map(|m| {
+                    CsrMatrix::from_rows(
+                        (0..m.num_states() as StateId)
+                            .map(|i| {
+                                let (cols, _) = m.row(i);
+                                cols.iter().map(|&c| (c, 1.0 / cols.len() as f64)).collect()
+                            })
+                            .collect(),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn time_varying_chain_matches_possible_world_enumeration() {
+        let fb = time_varying_model();
+        let fbu = uniformized(&fb);
+        // One observation set anchored at t = 0 and one at t = 1, so that a
+        // step-index slip cannot hide behind `start = 0`.
+        for obs in [vec![(0u32, 0u32), (2, 2), (4, 0)], vec![(1, 1), (4, 0)]] {
+            for (adaptation, prior) in [
+                (ModelAdaptation::new(), &fb),
+                (ModelAdaptation::with_uniform_transitions(), &fbu),
+            ] {
+                let adapted = adaptation.adapt(&fb, &obs).unwrap();
+                assert!(adapted.check_invariants().is_ok());
+                // Marginals.
+                let (marginals, _) = brute_force_posterior(prior, &obs);
+                for (k, marginal) in marginals.iter().enumerate() {
+                    let t = adapted.start() + k as Timestamp;
+                    let post = adapted.posterior_at(t).unwrap();
+                    for s in 0..3u32 {
+                        let expected = marginal[s as usize];
+                        assert!((post.prob(s) - expected).abs() < 1e-9, "{obs:?} t={t} s={s}");
+                    }
+                }
+                // Path probabilities: the product of the adapted rows along
+                // every consistent path is its conditioned a-priori
+                // probability, and these exhaust the adapted chain's mass.
+                let (paths, total) = consistent_paths(prior, &obs);
+                let mut covered = 0.0;
+                for (path, p) in &paths {
+                    let mut p_adapted = 1.0;
+                    for (k, w) in path.windows(2).enumerate() {
+                        let t = adapted.start() + k as Timestamp;
+                        let (cols, probs) = adapted.transition_row(t, w[0]).expect("row exists");
+                        p_adapted *= cols.binary_search(&w[1]).map_or(0.0, |i| probs[i]);
+                    }
+                    assert!((p_adapted - p / total).abs() < 1e-9, "{obs:?} {path:?}");
+                    covered += p_adapted;
+                }
+                assert!((covered - 1.0).abs() < 1e-9, "{obs:?}: paths cover {covered}");
+            }
         }
     }
 }

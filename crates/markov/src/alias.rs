@@ -11,10 +11,11 @@
 //!   within the row) and its probability.
 //!
 //! A row lookup is one binary search over the step's sources and yields the
-//! row as two parallel slices. The adaptation's time-reversed tables `R(t)`
-//! use this layout as it is. The a-posteriori chain `F(t)` is stored only as
-//! an [`AliasKernel`]: the same rows plus, per slot, the Vose acceptance
-//! `threshold` and the aliased target `alias`.
+//! row as two parallel slices. The a-posteriori chain `F(t)` of an adapted
+//! model is stored as an [`AliasKernel`]: these rows plus, per slot, the
+//! Vose acceptance `threshold` and the aliased target `alias`. The
+//! adaptation's backward phase normalises each row straight into a
+//! `StepRows` and moves the rows into the kernel in step order.
 //!
 //! The Monte-Carlo refinement phase draws one transition per object per chain
 //! step per sampled world — at paper scale (10 000 worlds, hundreds of
@@ -35,13 +36,13 @@
 //! comparison on shared `u` streams.
 //!
 //! Construction is deterministic: rows are pushed in (step, source-id)
-//! order, the Vose small/large worklists are filled in increasing slot order
-//! and drained LIFO, so equal inputs produce byte-equal kernels on every
-//! platform and thread count.
+//! order, and when a step closes the alias tables of its rows are built in
+//! row order. Vose's small/large worklists are filled in increasing slot
+//! order and drained LIFO, so equal inputs produce byte-equal kernels on
+//! every platform and thread count. The worklists are reused from row to
+//! row of a step.
 
-use crate::sparse::MIN_NORMALIZABLE_MASS;
 use crate::StateId;
-use rustc_hash::FxHashMap;
 use std::ops::Range;
 
 /// Sparse rows of a multi-step chain in one sorted CSR layout (see the
@@ -77,44 +78,37 @@ impl Default for StepRows {
 impl StepRows {
     /// Appends a row to the open step, verbatim. Sources must arrive in
     /// strictly increasing order within a step, targets within a row.
-    fn push_row(&mut self, source: StateId, entries: impl IntoIterator<Item = (StateId, f64)>) {
-        let open = *self.step_starts.last().expect("never empty") as usize;
+    pub(crate) fn push_row(
+        &mut self,
+        source: StateId,
+        entries: impl IntoIterator<Item = (StateId, f64)>,
+    ) {
+        let open = self.open_rows().start;
         debug_assert!(
             self.sources.len() == open || self.sources.last().is_some_and(|&p| p < source),
             "rows of a step must arrive in strictly increasing source order"
         );
+        let first = self.cols.len();
         for (state, p) in entries {
             self.cols.push(state);
             self.probs.push(p);
         }
+        debug_assert!(
+            self.cols[first..].windows(2).all(|w| w[0] < w[1]),
+            "targets of a row must arrive in strictly increasing order"
+        );
         self.sources.push(source);
         self.row_starts.push(self.cols.len() as u32);
     }
 
-    /// Appends one step of raw row weights, keyed by source state, and closes
-    /// it. Rows go in ascending source order, each scaled to unit mass bit
-    /// for bit as `SparseDist::from_pairs` followed by `normalize` would:
-    /// entries sorted by target, each weight divided by the left-to-right
-    /// fold of the row. A row whose mass `normalize` would refuse is left
-    /// out. Targets must be distinct within a row and weights positive.
-    pub(crate) fn push_step(&mut self, rows: FxHashMap<StateId, Vec<(StateId, f64)>>) {
-        let mut rows: Vec<(StateId, Vec<(StateId, f64)>)> = rows.into_iter().collect();
-        rows.sort_unstable_by_key(|&(s, _)| s);
-        for (source, mut weights) in rows {
-            weights.sort_unstable_by_key(|&(s, _)| s);
-            debug_assert!(weights.windows(2).all(|w| w[0].0 < w[1].0), "targets must be distinct");
-            let mass: f64 = weights.iter().map(|&(_, w)| w).sum();
-            if mass.is_nan() || mass < MIN_NORMALIZABLE_MASS {
-                continue;
-            }
-            self.push_row(source, weights.into_iter().map(|(s, w)| (s, w / mass)));
-        }
-        self.end_step();
+    /// Closes the open step; rows pushed from here on belong to the next one.
+    pub(crate) fn end_step(&mut self) {
+        self.step_starts.push(self.sources.len() as u32);
     }
 
-    /// Closes the open step; rows pushed from here on belong to the next one.
-    fn end_step(&mut self) {
-        self.step_starts.push(self.sources.len() as u32);
+    /// The row indices of the open step.
+    fn open_rows(&self) -> Range<usize> {
+        *self.step_starts.last().expect("never empty") as usize..self.sources.len()
     }
 
     /// Number of closed steps.
@@ -179,29 +173,34 @@ pub struct AliasKernel {
     alias: Vec<StateId>,
 }
 
+/// Scratch space of Vose's construction, reused from row to row.
+#[derive(Debug, Default)]
+struct VoseWorklists {
+    /// Each slot's probability scaled by `n / mass`.
+    scaled: Vec<f64>,
+    /// Slots whose scaled probability is below one.
+    small: Vec<usize>,
+    /// Slots whose scaled probability is at least one.
+    large: Vec<usize>,
+}
+
 impl AliasKernel {
-    /// Appends a row to the open step verbatim and builds its alias table.
-    /// Sources must arrive in strictly increasing order within a step,
-    /// targets within a row.
+    /// Appends a row to the open step verbatim; its alias table is built
+    /// when the step closes. Sources must arrive in strictly increasing
+    /// order within a step, targets within a row.
     pub fn push_row(&mut self, source: StateId, entries: impl IntoIterator<Item = (StateId, f64)>) {
         self.rows.push_row(source, entries);
-        self.build_alias_table(self.rows.sources.len() - 1);
     }
 
-    /// Appends one step of raw row weights, normalized as
-    /// [`StepRows::push_step`] does, builds each row's alias table and
-    /// closes the step.
-    pub(crate) fn push_step(&mut self, rows: FxHashMap<StateId, Vec<(StateId, f64)>>) {
-        let first = self.rows.sources.len();
-        self.rows.push_step(rows);
-        for r in first..self.rows.sources.len() {
-            self.build_alias_table(r);
-        }
-    }
-
-    /// Closes the open step; rows pushed from here on belong to the next one.
+    /// Closes the open step and builds the alias tables of its rows; rows
+    /// pushed from here on belong to the next one.
     pub fn end_step(&mut self) {
+        let rows = self.rows.open_rows();
         self.rows.end_step();
+        let mut vose = VoseWorklists::default();
+        for r in rows {
+            self.build_alias_table(r, &mut vose);
+        }
     }
 
     /// The transition rows, without the alias columns.
@@ -211,7 +210,7 @@ impl AliasKernel {
 
     /// Runs Vose's O(n) alias construction on row `r`. Rows are built in
     /// order, so `r` is the first row without a table.
-    fn build_alias_table(&mut self, r: usize) {
+    fn build_alias_table(&mut self, r: usize, vose: &mut VoseWorklists) {
         let slots = self.rows.slots(r);
         let (base, n) = (slots.start, slots.len());
         let cols = &self.rows.cols[slots.clone()];
@@ -228,9 +227,11 @@ impl AliasKernel {
         // and drained from the back, so the construction is deterministic.
         // The mass is the same left-to-right fold `SparseDist` caches.
         let mass: f64 = probs.iter().sum();
-        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64 / mass).collect();
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
+        let VoseWorklists { scaled, small, large } = vose;
+        scaled.clear();
+        scaled.extend(probs.iter().map(|&p| p * n as f64 / mass));
+        small.clear();
+        large.clear();
         for (i, &s) in scaled.iter().enumerate() {
             if s < 1.0 {
                 small.push(i);
@@ -407,28 +408,6 @@ mod tests {
         let (cols, probs) = k.rows().row(0, 2).unwrap();
         assert_eq!(cols, &[3]);
         assert_eq!(probs, &[1.0]);
-    }
-
-    #[test]
-    fn push_step_matches_sparse_dist_normalization_bit_for_bit() {
-        let weights = vec![(9u32, 0.3), (2, 1e-3), (5, 0.7), (7, 1.0 / 3.0)];
-        let mut want = SparseDist::from_pairs(weights.clone());
-        assert!(want.normalize());
-        let mut k = AliasKernel::default();
-        // Sources arrive in hash order and must come out sorted; source 1's
-        // mass is too small for `normalize`, so its row is left out.
-        let step: FxHashMap<StateId, Vec<(StateId, f64)>> =
-            [(6, vec![(0, 1.0)]), (4, weights), (1, vec![(3, f64::MIN_POSITIVE)])].into_iter().collect();
-        k.push_step(step);
-        let rows: Vec<(StateId, Vec<(StateId, u64)>)> = k
-            .rows()
-            .step(0)
-            .map(|(s, cols, probs)| (s, cols.iter().zip(probs).map(|(&c, p)| (c, p.to_bits())).collect()))
-            .collect();
-        let want_bits: Vec<(StateId, u64)> = want.iter().map(|(s, p)| (s, p.to_bits())).collect();
-        assert_eq!(rows, vec![(4, want_bits), (6, vec![(0, 1.0f64.to_bits())])]);
-        let delta = SparseDist::delta(0);
-        assert_eq!(k, kernel_from(&[&[(4, &want), (6, &delta)]]), "same alias tables");
     }
 
     #[test]

@@ -25,6 +25,13 @@ pub const PROB_EPSILON: f64 = 1e-9;
 /// on normalized floats with lossless headroom.
 pub const MIN_NORMALIZABLE_MASS: f64 = f64::MIN_POSITIVE * (1.0 / PROB_EPSILON);
 
+/// Whether [`SparseDist::normalize`] divides by a total mass of `mass`.
+#[inline]
+pub(crate) fn is_normalizable(mass: f64) -> bool {
+    // The explicit NaN arm matters: `mass < t` alone would let NaN through.
+    !(mass.is_nan() || mass < MIN_NORMALIZABLE_MASS)
+}
+
 // ---------------------------------------------------------------------------
 // SparseDist
 // ---------------------------------------------------------------------------
@@ -146,8 +153,7 @@ impl SparseDist {
     /// non-finite entries ([`MIN_NORMALIZABLE_MASS`]).
     pub fn normalize(&mut self) -> bool {
         let mass = self.total_mass();
-        // The explicit NaN arm matters: `mass < t` alone would let NaN through.
-        if mass.is_nan() || mass < MIN_NORMALIZABLE_MASS {
+        if !is_normalizable(mass) {
             return false;
         }
         for (_, p) in &mut self.entries {

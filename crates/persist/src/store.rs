@@ -408,30 +408,61 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_non_stochastic_transition_row_is_rejected_on_load() {
-        // Object 9's override chain is deterministic, so every row of its
-        // adapted model is a point mass, and the MODELS section — written
-        // last — ends with the probability 1.0 of the model's last row.
+    /// The store of `tiny_database` with the adapted model of object 9.
+    /// That object's override chain is deterministic, so every row of its
+    /// model is a point mass, and the MODELS section — written last — ends
+    /// with the model's last step: one row out of state 2 (the posterior's
+    /// only state at t = 2) to state 0 with probability 1.0.
+    fn store_with_point_mass_model() -> Vec<u8> {
         let db = tiny_database();
         let pairs = db.object(9).unwrap().observation_pairs();
         let model = AdaptedModel::build(db.model_for(9).as_ref(), &pairs).unwrap();
         let models = vec![(9, Arc::new(model))];
-        let mut bytes = encode_store(&StoreContents { database: &db, index: None, models: &models });
-        let end = bytes.len();
-        assert_eq!(bytes[end - 8..], 1.0f64.to_le_bytes());
-        bytes[end - 8..].copy_from_slice(&0.5f64.to_le_bytes());
-        // Re-seal the MODELS checksum so the bytes pass the integrity gate
-        // and reach the codec. Header: magic(8) version(4) count(4); frame:
-        // id(4) length(8) checksum(8) payload.
+        encode_store(&StoreContents { database: &db, index: None, models: &models })
+    }
+
+    /// Re-seals the length and checksum of the MODELS frame (the last one)
+    /// after its payload was edited, so the bytes pass the integrity gate
+    /// and reach the codec. Header: magic(8) version(4) count(4); frame:
+    /// id(4) length(8) checksum(8) payload.
+    fn reseal_models(bytes: &mut [u8]) {
         let db_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
         let frame = 36 + db_len;
         assert_eq!(bytes[frame..frame + 4], section::MODELS.to_le_bytes());
+        let payload = (bytes.len() - (frame + 20)) as u64;
+        bytes[frame + 4..frame + 12].copy_from_slice(&payload.to_le_bytes());
         let checksum = fnv1a64(&bytes[frame + 20..]);
         bytes[frame + 12..frame + 20].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn a_non_stochastic_transition_row_is_rejected_on_load() {
+        let mut bytes = store_with_point_mass_model();
+        let end = bytes.len();
+        assert_eq!(bytes[end - 8..], 1.0f64.to_le_bytes());
+        bytes[end - 8..].copy_from_slice(&0.5f64.to_le_bytes());
+        reseal_models(&mut bytes);
         assert_eq!(
             decode_store(&bytes).unwrap_err(),
             StoreError::Malformed { context: "adapted transition row is not normalized" }
+        );
+    }
+
+    #[test]
+    fn a_missing_transition_row_is_rejected_on_load() {
+        // The last step is `rows(u64) = 1`, then the row: source(u32) = 2,
+        // length(u64) = 1, target(u32), probability(f64). Drop the row; the
+        // posterior still puts all its mass on state 2 at that step.
+        let mut bytes = store_with_point_mass_model();
+        let step = bytes.len() - 32;
+        assert_eq!(bytes[step..step + 8], 1u64.to_le_bytes());
+        assert_eq!(bytes[step + 8..step + 12], 2u32.to_le_bytes());
+        bytes.truncate(step);
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        reseal_models(&mut bytes);
+        assert_eq!(
+            decode_store(&bytes).unwrap_err(),
+            StoreError::Malformed { context: "adapted posterior state has no transition row" }
         );
     }
 

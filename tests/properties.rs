@@ -92,7 +92,8 @@ proptest! {
     // -----------------------------------------------------------------
 
     /// The sparse adaptation agrees with the dense reference implementation
-    /// and produces normalized posteriors and stochastic transition rows.
+    /// on every posterior and every transition row, and produces normalized
+    /// posteriors and stochastic transition rows.
     #[test]
     fn adaptation_matches_dense_reference((n, rows) in chain_strategy(8), seed in 0u64..1000) {
         let sparse = CsrMatrix::stochastic_from_weights(rows.clone());
@@ -113,6 +114,22 @@ proptest! {
                 let expected = dense_adapted.posterior[(t - adapted.start()) as usize][s as usize];
                 prop_assert!((post.prob(s) - expected).abs() < 1e-9,
                     "posterior mismatch at t={t}, s={s}");
+            }
+        }
+        // Every row of F(t), entry by entry; a state without a row must have
+        // an all-zero dense row.
+        for t in adapted.start()..adapted.end() {
+            let dense_f = &dense_adapted.transitions[(t - adapted.start()) as usize];
+            for i in 0..n as StateId {
+                let row = adapted.transition_row(t, i);
+                for j in 0..n as StateId {
+                    let got = row.map_or(0.0, |(cols, probs)| {
+                        cols.binary_search(&j).map_or(0.0, |k| probs[k])
+                    });
+                    let expected = dense_f.get(i as usize, j as usize);
+                    prop_assert!((got - expected).abs() < 1e-9,
+                        "transition mismatch at t={t}, {i} -> {j}: {got} vs {expected}");
+                }
             }
         }
     }
