@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use ust_generator::{ObjectWorkloadConfig, SyntheticNetworkConfig};
-use ust_markov::{AdaptedModel, AliasKernel, SparseDist};
+use ust_markov::{AdaptedModel, AliasKernel, SparseDist, Timestamp};
 use ust_sampling::{
     PosteriorSampler, SegmentedSampler, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH,
 };
@@ -88,10 +88,12 @@ fn bench_world_sampler(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| sampler.sample_world(&mut rng))
     });
+    let start = sampler.models().iter().map(|(_, m)| m.start()).min().unwrap_or(0);
     let horizon = sampler.models().iter().map(|(_, m)| m.end()).max().unwrap_or(0);
+    let times: Vec<Timestamp> = (start..=horizon).collect();
     group.bench_function("sample_block_64_worlds_16_objects", |b| {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
+        let mut block = WorldBlock::new(&sampler, &times, WORLD_BLOCK_WIDTH);
         b.iter(|| block.fill(&mut rng, WORLD_BLOCK_WIDTH))
     });
     group.finish();

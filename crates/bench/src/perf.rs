@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 use ust_generator::{ObjectWorkloadConfig, SyntheticNetworkConfig};
-use ust_markov::{AdaptedModel, AliasKernel, SparseDist};
+use ust_markov::{AdaptedModel, AliasKernel, SparseDist, Timestamp};
 use ust_sampling::{PossibleWorld, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
 
 /// Configuration of the sampling-kernel performance snapshot.
@@ -169,18 +169,22 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
         })
         .collect();
     report.set_meta("adapt_ms", adapt_start.elapsed().as_secs_f64() * 1e3);
+    let start = models.iter().map(|(_, m)| m.start()).min().unwrap_or(0);
     let horizon = models.iter().map(|(_, m)| m.end()).max().unwrap_or(0);
     let sampler = WorldSampler::from_models(models);
+    // Every timestamp of every object, so the block draws every transition
+    // the per-world path below draws, except the steps onto an observation.
+    let times: Vec<Timestamp> = (start..=horizon).collect();
 
     let block_start = Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
+    let mut block = WorldBlock::new(&sampler, &times, WORLD_BLOCK_WIDTH);
     let mut remaining = cfg.worlds;
     let mut checksum = 0u64;
     while remaining > 0 {
         let count = WORLD_BLOCK_WIDTH.min(remaining);
         block.fill(&mut rng, count);
-        checksum = checksum.wrapping_add(block.state(0, horizon.min(1), 0).unwrap_or(0) as u64);
+        checksum = checksum.wrapping_add(block.state(0, 1, 0).unwrap_or(0) as u64);
         remaining -= count;
     }
     black_box(checksum);

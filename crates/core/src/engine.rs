@@ -395,7 +395,8 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The filter step for k-NN queries (the pruning distance is the k-th
-    /// smallest `dmax` per timestamp).
+    /// smallest `dmax` per timestamp). `k = 0` is rejected with
+    /// [`QueryError::InvalidK`], as by every k-NN query.
     pub fn filter_knn(
         &self,
         query: &Query,
@@ -418,6 +419,7 @@ impl<'a> QueryEngine<'a> {
         gauge: &BudgetGauge,
     ) -> Result<(Vec<ObjectId>, Vec<ObjectId>), QueryError> {
         query.validate()?;
+        Query::validate_k(k)?;
         gauge.check(QueryPhase::Filter)?;
         let times = query.times();
         match &self.index {
@@ -530,15 +532,11 @@ impl<'a> QueryEngine<'a> {
         // as (distance², world position) pairs.
         let mut alive: Vec<(f64, usize)> = Vec::with_capacity(world_ids.len());
 
-        // States past the last query timestamp are never read, so only the
-        // walk prefixes up to `query.end()` are materialised (the tail steps
-        // still burn their RNG draws, keeping worlds bit-identical).
-        let horizon = query.end();
-        // One 64-world SoA block, refilled per iteration; its width matching
-        // the budget-probe interval keeps checkpoint placement identical to
-        // the retired per-world loop.
+        // One 64-world SoA block over the query timestamps, refilled per
+        // iteration; its width matching the budget-probe interval keeps
+        // checkpoint placement identical to the retired per-world loop.
         const _: () = assert!(WORLD_BLOCK_WIDTH == WORLD_CHECK_INTERVAL);
-        let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
+        let mut block = WorldBlock::new(&sampler, times, WORLD_BLOCK_WIDTH);
         // Per block: one word of candidate hits per (candidate, timestamp)
         // and one word of ∃-membership per influence object.
         let mut hit_words: Vec<u64> = vec![0; sorted_candidates.len()];
@@ -562,14 +560,10 @@ impl<'a> QueryEngine<'a> {
             // Per-object world rows of the current timestamp, hoisted out of
             // the 64-world scan.
             let mut rows: Vec<Option<&[u32]>> = Vec::with_capacity(world_ids.len());
-            for (i, &t) in times.iter().enumerate() {
-                if k == 0 {
-                    break;
-                }
-                let q = &query_positions[i];
+            for (i, q) in query_positions.iter().enumerate() {
                 hit_words.fill(0);
                 rows.clear();
-                rows.extend((0..world_ids.len()).map(|j| block.states_at(j, t)));
+                rows.extend((0..world_ids.len()).map(|j| block.states_at(j, i)));
                 for w in 0..count {
                     alive.clear();
                     for (j, row) in rows.iter().enumerate() {
@@ -1066,6 +1060,20 @@ mod tests {
         assert!(forall_k2.contains(2), "with k=2 both objects are always in the kNN set");
         let forall_k1 = engine.pforall_knn(&q, 1, 0.5).unwrap();
         assert!(!forall_k1.contains(2));
+    }
+
+    #[test]
+    fn zero_k_is_a_typed_error_for_every_knn_query() {
+        let db = covered_db();
+        let engine = QueryEngine::new(&db, EngineConfig::with_samples(100));
+        let q = query();
+        let zero_k = QueryError::InvalidK { k: 0 };
+        assert_eq!(engine.pforall_knn(&q, 0, 0.0).unwrap_err(), zero_k);
+        assert_eq!(engine.pexists_knn(&q, 0, 0.0).unwrap_err(), zero_k);
+        assert_eq!(engine.pcknn(&q, 0, 0.0).unwrap_err(), zero_k);
+        assert_eq!(engine.filter_knn(&q, 0).unwrap_err(), zero_k);
+        assert_eq!(zero_k.to_string(), "k-NN queries need k ≥ 1, got k = 0");
+        assert_eq!(engine.cached_models(), 0, "rejected before any adaptation");
     }
 
     #[test]

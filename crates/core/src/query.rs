@@ -29,6 +29,11 @@ pub enum QueryError {
         /// The offending threshold.
         tau: f64,
     },
+    /// A k-NN query asked for `k = 0` neighbors.
+    InvalidK {
+        /// The offending `k`.
+        k: usize,
+    },
     /// An object's observations contradict its a-priori model, so no
     /// a-posteriori model exists.
     Adaptation {
@@ -127,6 +132,7 @@ impl std::fmt::Display for QueryError {
             QueryError::InvalidThreshold { tau } => {
                 write!(f, "probability threshold {tau} is outside [0, 1]")
             }
+            QueryError::InvalidK { k } => write!(f, "k-NN queries need k ≥ 1, got k = {k}"),
             QueryError::Adaptation { object, error } => {
                 write!(f, "model adaptation failed for object {object}: {error}")
             }
@@ -280,6 +286,15 @@ impl Query {
         }
     }
 
+    /// Validates the `k` of a k-NN query: at least one neighbor.
+    pub fn validate_k(k: usize) -> Result<(), QueryError> {
+        if k == 0 {
+            Err(QueryError::InvalidK { k })
+        } else {
+            Ok(())
+        }
+    }
+
     /// Validates a probability threshold.
     pub fn validate_threshold(tau: f64) -> Result<(), QueryError> {
         if !(0.0..=1.0).contains(&tau) || tau.is_nan() {
@@ -365,6 +380,13 @@ mod tests {
             },
             "a missing object is not an adaptation failure"
         );
+    }
+
+    #[test]
+    fn k_validation() {
+        assert_eq!(Query::validate_k(0), Err(QueryError::InvalidK { k: 0 }));
+        assert!(Query::validate_k(1).is_ok());
+        assert!(Query::validate_k(3).is_ok());
     }
 
     #[test]

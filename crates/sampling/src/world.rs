@@ -135,8 +135,9 @@ impl WorldSampler {
     /// ([`PosteriorSampler::sample_prefix_into`]). RNG consumption — and
     /// hence every sampled state at timestamps `≤ horizon` — is bit-identical
     /// to the full draw; the walk tails past the horizon only burn their RNG
-    /// draws. This is the query engine's hot call: its NN evaluation never
-    /// reads states after the last query timestamp.
+    /// draws. [`WorldBlock::fill`](crate::block::WorldBlock::fill) consumes
+    /// the RNG exactly like consecutive calls of this method; its tests use
+    /// it as the reference.
     pub fn sample_world_prefix_into<R: Rng>(
         &self,
         rng: &mut R,
