@@ -9,7 +9,9 @@
 //!   worker count.
 //! * **Stale-model invalidation** — a store carries adapted models; an
 //!   append to an object makes its model stale. The minted engine must not
-//!   answer from that stale model even when nothing clears its cache.
+//!   answer from that stale model even when nothing clears its cache. The
+//!   store's UST-tree, in contrast, is maintained across the append and
+//!   must equal a from-scratch build.
 //! * **The crash matrix** — for EVERY fault point the persist crate
 //!   registers, arm it once, run the full ingest cycle
 //!   (load → append → checkpoint), and reopening the store must yield an
@@ -29,6 +31,7 @@ use ust_bench::walcheck::split_holdback;
 use ust_core::{EngineConfig, EngineStore, Query, QueryEngine};
 use ust_fault::{fired, FaultPlan};
 use ust_generator::QueryWorkload;
+use ust_index::{UstTree, UstTreeConfig};
 use ust_persist::{wal, StoreError};
 use ust_trajectory::{ObjectId, Observation, TrajectoryDatabase};
 
@@ -177,8 +180,13 @@ fn appends_invalidate_stale_adapted_models() {
     assert!(store.index().is_some(), "the store carries the tree");
     store.append_batch(batch).expect("append succeeds");
 
-    // The derived state of the touched objects is gone...
-    assert!(store.index().is_none(), "appends invalidate the persisted tree");
+    // The tree is maintained, not dropped: it equals a scratch build over
+    // the grown database...
+    let tree = store.index().expect("appends keep the tree");
+    let scratch = UstTree::build_with(store.database(), &UstTreeConfig::default());
+    assert_eq!(tree.diamonds(), scratch.diamonds(), "the maintained tree is a scratch build");
+    assert_eq!(tree.num_objects(), scratch.num_objects());
+    // ...while the derived state of the touched objects is gone...
     let touched: Vec<ObjectId> = batch.iter().map(|(id, _)| *id).collect();
     assert!(
         store.models().iter().all(|(id, _)| !touched.contains(id)),

@@ -30,10 +30,15 @@
 //! crash matrix in `crates/bench/tests/store_recovery.rs` proves exactly
 //! that for every cataloged fault point.
 //!
-//! Appends invalidate derived state: the persisted UST-tree (engines minted
-//! afterwards rebuild it over the grown database) and the adapted models of
-//! every touched object (their observation history changed, so the cached
-//! a-posteriori matrices are stale; untouched objects keep their models).
+//! Appends maintain the UST-tree and invalidate the adapted models. A
+//! diamond depends only on its segment, so appending to an object's tail
+//! leaves every stored diamond valid: the tree gains the diamonds of the
+//! touched objects' new segments ([`UstTree::apply_appends`]) and stays equal
+//! to a from-scratch build over the grown database, so engines minted
+//! afterwards share it without a rebuild and [`EngineStore::checkpoint`]
+//! persists it. The adapted models of every touched object are dropped
+//! (their observation history changed, so the cached a-posteriori matrices
+//! are stale; untouched objects keep their models).
 
 use crate::engine::{AdaptedModels, EngineConfig, QueryEngine};
 use std::path::{Path, PathBuf};
@@ -129,7 +134,7 @@ impl EngineStore {
                 }
             }
         }
-        self.invalidate(&touched);
+        self.refresh_derived(&touched);
         self.wal = stats;
         Ok(())
     }
@@ -141,9 +146,10 @@ impl EngineStore {
     /// create the object if the id is new. A rejected batch (typed error)
     /// leaves the log, the database and the derived state untouched.
     ///
-    /// Appending invalidates the stored UST-tree and the adapted models of
-    /// the touched objects (see the module docs); minted engines rebuild
-    /// both lazily. [`Self::checkpoint`] folds the log back into the
+    /// Appending extends the UST-tree by the diamonds of the new segments
+    /// and drops the adapted models of the touched objects (see the module
+    /// docs); minted engines share the maintained tree and re-adapt those
+    /// objects lazily. [`Self::checkpoint`] folds the log back into the
     /// container once the batch stream quiets down.
     pub fn append_batch(
         &mut self,
@@ -164,12 +170,14 @@ impl EngineStore {
                 .map_err(|_| StoreError::Malformed { context: "wal batch failed to apply" })?;
             touched.push(*id);
         }
-        self.invalidate(&touched);
+        self.refresh_derived(&touched);
         Ok(stats)
     }
 
     /// Folds the WAL back into the container: rewrites the `.ustore` with
-    /// the current state (staged temp file + fsync + atomic rename, see
+    /// the current state — database, maintained UST-tree and surviving
+    /// models, so a reload rebuilds nothing (staged temp file + fsync +
+    /// atomic rename, see
     /// [`ust_persist::write_store`]), then removes the log. A fault after
     /// the rename but before the removal leaves a stale WAL whose frames the
     /// container already holds — harmless, because replay skips exact
@@ -234,18 +242,24 @@ impl EngineStore {
         Ok(())
     }
 
-    /// Drops derived state made stale by appends to `touched`: the persisted
-    /// UST-tree (its diamonds no longer cover the grown trajectories) and
-    /// the adapted models of exactly the touched objects.
-    fn invalidate(&mut self, touched: &[ObjectId]) {
+    /// Brings derived state up to date after appends to `touched`: drops the
+    /// adapted models of exactly the touched objects and extends the
+    /// UST-tree by their new segments. The tree is taken out of the store
+    /// while it is maintained — in place when the store holds the only
+    /// reference — so a panic mid-way leaves a store without a tree, whose
+    /// engines rebuild it from scratch, never one with a stale tree.
+    fn refresh_derived(&mut self, touched: &[ObjectId]) {
         if touched.is_empty() {
             return;
         }
-        self.index = None;
         let mut ids: Vec<ObjectId> = touched.to_vec();
         ids.sort_unstable();
         ids.dedup();
         self.models.retain(|(id, _)| ids.binary_search(id).is_err());
+        if let Some(mut tree) = self.index.take() {
+            Arc::make_mut(&mut tree).apply_appends(&self.database, &ids, 0);
+            self.index = Some(tree);
+        }
     }
 
     /// The decoded trajectory database (with any WAL frames replayed).
@@ -253,9 +267,11 @@ impl EngineStore {
         &self.database
     }
 
-    /// The decoded UST-tree, if the store carried one and no append has
-    /// invalidated it. The `Arc` is the same allocation every minted engine
-    /// shares.
+    /// The UST-tree, if the store carried one: the decoded tree, extended
+    /// by every appended batch so far, so it equals a from-scratch build over
+    /// [`Self::database`]. `None` if the store carried no tree, or if
+    /// maintaining it panicked. The `Arc` is the same allocation every
+    /// minted engine shares.
     pub fn index(&self) -> Option<&Arc<UstTree>> {
         self.index.as_ref()
     }

@@ -8,18 +8,25 @@
 //! concatenated before one STR bulk load, so the resulting index — diamond
 //! order, R\*-tree shape, every pruning result — is byte-identical at every
 //! thread count.
+//!
+//! A diamond depends only on its segment (a-priori model, endpoint states,
+//! absolute times), so appending observations to an object's tail leaves
+//! every existing diamond valid. [`UstTree::apply_appends`] therefore builds
+//! diamonds only for the new segments of the touched objects, splices them
+//! into the arena (kept in database order) and bulk-loads the R\*-tree
+//! again: the result is byte-identical to a from-scratch build by
+//! construction.
 
 use crate::diamond::Diamond;
 use crate::par::{parallel_map_ordered, resolve_threads};
 use crate::pruning::{BoundsTable, PruningResult};
-use crate::{StateId, Timestamp};
+use crate::{ObjectId, StateId, Timestamp};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use ust_markov::reachability::ReachabilityIndex;
-use ust_markov::MarkovModel;
 use ust_spatial::{Point, RTree, Rect2, Rect3, StateSpace};
 use ust_trajectory::{TrajectoryDatabase, UncertainObject};
 
@@ -60,6 +67,11 @@ impl Default for UstTreeConfig {
 /// Observability counters of one UST-tree build, surfaced through
 /// `QueryEngine` and the bench harness so the paper-scale build trajectory is
 /// measurable.
+///
+/// For a tree last changed by [`UstTree::apply_appends`], the counters
+/// describe that delta step — its wall time, worker count, segments, memo
+/// hits and misses and peak frontier — while `objects` and `diamonds` stay
+/// totals over the whole tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexBuildStats {
     /// Wall-clock time of the whole build (reachability, diamonds, bulk load).
@@ -210,11 +222,16 @@ struct ObjectRun {
 }
 
 /// The UST-tree over a trajectory database.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct UstTree {
+    /// Every object's diamond run, in database object order, each run in
+    /// segment order.
     diamonds: Vec<Diamond>,
     rtree: RTree<3, usize>,
     num_objects: usize,
+    /// Whether diamonds carry per-timestamp MBRs (the build setting the
+    /// delta step of [`Self::apply_appends`] repeats).
+    per_timestamp_mbrs: bool,
     build_stats: IndexBuildStats,
 }
 
@@ -235,68 +252,129 @@ impl UstTree {
     pub fn build_with(db: &TrajectoryDatabase, cfg: &UstTreeConfig) -> Self {
         // lint: allow(T001) build_time is BuildStats observability; the index bytes are clock-free
         let start = Instant::now();
-        let space = db.state_space();
-
-        // Reachability indexes are derived from a-priori models; objects
-        // sharing a model (the common case) share the reachability index.
-        // They are computed once up front, so the per-object fan-out below
-        // only ever reads them.
-        let mut reach_cache: FxHashMap<usize, Arc<ReachabilityIndex>> = FxHashMap::default();
-        let mut reach_for = |model: &Arc<MarkovModel>| -> (usize, Arc<ReachabilityIndex>) {
-            let key = Arc::as_ptr(model) as usize;
-            let reach = reach_cache
-                .entry(key)
-                .or_insert_with(|| {
-                    Arc::new(ReachabilityIndex::from_matrix(model.matrix_at(0)))
-                })
-                .clone();
-            (key, reach)
-        };
-        let work: Vec<(&UncertainObject, usize, Arc<ReachabilityIndex>)> = db
-            .objects()
-            .iter()
-            .map(|object| {
-                let (key, reach) = reach_for(db.model_for(object.id()));
-                (object, key, reach)
-            })
-            .collect();
-
-        // Resolve once, with the same per-item clamp the fan-out applies, so
-        // the reported thread count is what actually ran.
-        let build_threads = resolve_threads(cfg.build_threads).min(db.len()).max(1);
-        let memo = GeometryMemo::new(cfg.reach_memo);
-        let runs: Vec<ObjectRun> = parallel_map_ordered(
-            &work,
-            build_threads,
-            |&(object, reach_key, ref reach)| {
-                build_object_run(object, reach, reach_key, space, &memo, cfg)
-            },
-        );
-
-        let mut stats = IndexBuildStats {
-            build_threads,
-            objects: db.len(),
-            reach_memo_hits: memo.hits.load(Ordering::Relaxed),
-            reach_memo_misses: memo.misses.load(Ordering::Relaxed),
-            ..Default::default()
-        };
+        let jobs: Vec<(&UncertainObject, Option<Timestamp>)> =
+            db.objects().iter().map(|object| (object, None)).collect();
+        let (runs, stats) = build_runs(db, &jobs, cfg);
         let mut diamonds: Vec<Diamond> =
             Vec::with_capacity(runs.iter().map(|r| r.diamonds.len()).sum());
         for run in runs {
-            stats.segments += run.segments;
-            stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
             diamonds.extend(run.diamonds);
         }
-        stats.diamonds = diamonds.len();
+        let mut tree = Self::from_parts(diamonds, db.len(), cfg.rtree_capacity, stats);
+        tree.per_timestamp_mbrs = cfg.per_timestamp_mbrs;
+        tree.finish_stats(start);
+        tree
+    }
 
-        let items: Vec<(Rect3, usize)> = diamonds
+    /// Brings the tree up to date with `db` after observations were appended
+    /// to the objects in `touched` (tails of existing objects, or brand-new
+    /// objects, which the database keeps after all older ones).
+    ///
+    /// Only the touched objects' new segments are built — those from the
+    /// end of the object's last stored diamond on; a brand-new object, or
+    /// one with no stored diamond, is built whole. A single-observation
+    /// object's degenerate diamond is replaced by its real segments. Every
+    /// other diamond is kept as is, the arena stays in database order, and
+    /// the R\*-tree is bulk-loaded again from it, so the result equals
+    /// [`Self::build_with`] over `db` with this tree's settings, diamond for
+    /// diamond and node for node. The delta step fans out across
+    /// `build_threads` workers (`0` = available parallelism), like the build.
+    /// Afterwards [`Self::build_stats`] describes the delta step (see
+    /// [`IndexBuildStats`]).
+    ///
+    /// A tree whose arena does not follow `db`'s object order (it was built
+    /// over another database) is rebuilt from scratch.
+    pub fn apply_appends(
+        &mut self,
+        db: &TrajectoryDatabase,
+        touched: &[ObjectId],
+        build_threads: usize,
+    ) {
+        if touched.is_empty() {
+            return;
+        }
+        // lint: allow(T001) build_time is BuildStats observability; the index bytes are clock-free
+        let start = Instant::now();
+        let cfg = UstTreeConfig {
+            per_timestamp_mbrs: self.per_timestamp_mbrs,
+            rtree_capacity: self.rtree_capacity(),
+            build_threads,
+            reach_memo: true,
+        };
+        // Run boundaries: object `i` of `db` owns `arena[bounds[i]..bounds[i + 1]]`.
+        let arena = &self.diamonds;
+        let mut bounds = Vec::with_capacity(db.len() + 1);
+        let mut cursor = 0;
+        for object in db.objects() {
+            bounds.push(cursor);
+            while arena.get(cursor).is_some_and(|d| d.object == object.id()) {
+                cursor += 1;
+            }
+        }
+        bounds.push(cursor);
+        if cursor != arena.len() {
+            *self = Self::build_with(db, &cfg);
+            return;
+        }
+
+        let mut ids = touched.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let is_touched = |object: &UncertainObject| ids.binary_search(&object.id()).is_ok();
+        // A single-observation object's degenerate diamond is the only one
+        // with `t_start == t_end`; a touched object has outgrown it.
+        let proper = |d: &Diamond| d.t_start < d.t_end;
+        // A run resumes at the end of its last proper diamond; segments from
+        // there on are built again, which re-derives nothing but
+        // contradictory segments (they yield no diamond anyway).
+        let jobs: Vec<(&UncertainObject, Option<Timestamp>)> = db
+            .objects()
             .iter()
             .enumerate()
-            .map(|(i, d)| (d.space_time_box(), i))
+            .filter(|(_, object)| is_touched(object))
+            .map(|(i, object)| {
+                let run = &arena[bounds[i]..bounds[i + 1]];
+                (object, run.iter().rfind(|d| proper(d)).map(|d| d.t_end))
+            })
             .collect();
-        let rtree = RTree::bulk_load_with_capacity(items, cfg.rtree_capacity);
-        stats.build_time = start.elapsed();
-        UstTree { diamonds, rtree, num_objects: db.len(), build_stats: stats }
+        // The arena is only taken apart once the delta step has succeeded,
+        // so a panic in it leaves the tree as it was.
+        let (runs, stats) = build_runs(db, &jobs, &cfg);
+
+        let added: usize = runs.iter().map(|r| r.diamonds.len()).sum();
+        let old = std::mem::take(&mut self.diamonds);
+        let mut diamonds = Vec::with_capacity(old.len() + added);
+        let mut runs = runs.into_iter();
+        let mut old = old.into_iter();
+        for (i, object) in db.objects().iter().enumerate() {
+            let run = old.by_ref().take(bounds[i + 1] - bounds[i]);
+            if is_touched(object) {
+                diamonds.extend(run.filter(proper));
+                diamonds.extend(runs.next().expect("one run per touched object").diamonds);
+            } else {
+                diamonds.extend(run);
+            }
+        }
+        let items = Self::rtree_items(&diamonds);
+        self.rtree = RTree::bulk_load_with_capacity(items, cfg.rtree_capacity);
+        self.diamonds = diamonds;
+        self.num_objects = db.len();
+        self.build_stats = stats;
+        self.finish_stats(start);
+    }
+
+    /// Completes the stats of a build or delta step: wall time since `start`
+    /// and the tree totals.
+    fn finish_stats(&mut self, start: Instant) {
+        self.build_stats.objects = self.num_objects;
+        self.build_stats.diamonds = self.diamonds.len();
+        self.build_stats.build_time = start.elapsed();
+    }
+
+    /// The R\*-tree items of an arena: each diamond's space-time box, keyed
+    /// by its arena position.
+    fn rtree_items(diamonds: &[Diamond]) -> Vec<(Rect3, usize)> {
+        diamonds.iter().enumerate().map(|(i, d)| (d.space_time_box(), i)).collect()
     }
 
     /// Reassembles a tree from a stored diamond arena without re-running the
@@ -316,13 +394,11 @@ impl UstTree {
         rtree_capacity: usize,
         build_stats: IndexBuildStats,
     ) -> Self {
-        let items: Vec<(Rect3, usize)> = diamonds
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.space_time_box(), i))
-            .collect();
-        let rtree = RTree::bulk_load_with_capacity(items, rtree_capacity);
-        UstTree { diamonds, rtree, num_objects, build_stats }
+        let rtree = RTree::bulk_load_with_capacity(Self::rtree_items(&diamonds), rtree_capacity);
+        // The stored form has no settings block: a tree keeps per-timestamp
+        // MBRs iff its diamonds carry them (the default for an empty arena).
+        let per_timestamp_mbrs = diamonds.iter().all(|d| d.per_time.is_some());
+        UstTree { diamonds, rtree, num_objects, per_timestamp_mbrs, build_stats }
     }
 
     /// Node capacity of the underlying R\*-tree (the bulk-load fan-out).
@@ -488,9 +564,62 @@ impl UstTree {
     }
 }
 
-/// Builds the ordered diamond run of one object.
+/// Builds the diamond runs of `jobs` — each an object plus the time its run
+/// resumes at (`None`: from its first observation) — across
+/// `cfg.build_threads` workers, in job order. The returned stats cover the
+/// step's workers, segments, memo and frontier; the caller fills in the
+/// totals and the wall time.
+fn build_runs(
+    db: &TrajectoryDatabase,
+    jobs: &[(&UncertainObject, Option<Timestamp>)],
+    cfg: &UstTreeConfig,
+) -> (Vec<ObjectRun>, IndexBuildStats) {
+    // Reachability indexes are derived from a-priori models; objects sharing
+    // a model (the common case) share the reachability index. They are
+    // computed once up front, so the per-object fan-out below only ever
+    // reads them.
+    let mut reach_cache: FxHashMap<usize, Arc<ReachabilityIndex>> = FxHashMap::default();
+    let work: Vec<(&UncertainObject, Option<Timestamp>, usize, Arc<ReachabilityIndex>)> = jobs
+        .iter()
+        .map(|&(object, resume)| {
+            let model = db.model_for(object.id());
+            let key = Arc::as_ptr(model) as usize;
+            let reach = reach_cache
+                .entry(key)
+                .or_insert_with(|| Arc::new(ReachabilityIndex::from_model(model)))
+                .clone();
+            (object, resume, key, reach)
+        })
+        .collect();
+
+    // Resolve once, with the same per-item clamp the fan-out applies, so the
+    // reported thread count is what actually ran.
+    let build_threads = resolve_threads(cfg.build_threads).min(jobs.len()).max(1);
+    let memo = GeometryMemo::new(cfg.reach_memo);
+    let space = db.state_space();
+    let runs: Vec<ObjectRun> =
+        parallel_map_ordered(&work, build_threads, |&(object, resume, reach_key, ref reach)| {
+            build_object_run(object, resume, reach, reach_key, space, &memo, cfg)
+        });
+    let mut stats = IndexBuildStats {
+        build_threads,
+        reach_memo_hits: memo.hits.load(Ordering::Relaxed),
+        reach_memo_misses: memo.misses.load(Ordering::Relaxed),
+        ..Default::default()
+    };
+    for run in &runs {
+        stats.segments += run.segments;
+        stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
+    }
+    (runs, stats)
+}
+
+/// Builds the ordered diamond run of one object: every segment starting at
+/// or after `resume`, or all of them (the degenerate one of a
+/// single-observation object included) when `resume` is `None`.
 fn build_object_run(
     object: &UncertainObject,
+    resume: Option<Timestamp>,
     reach: &ReachabilityIndex,
     reach_key: usize,
     space: &StateSpace,
@@ -522,7 +651,9 @@ fn build_object_run(
         push(obs.time, obs.state, obs.time, obs.state);
     } else {
         for (from, to) in object.segments() {
-            push(from.time, from.state, to.time, to.state);
+            if resume.is_none_or(|t| from.time >= t) {
+                push(from.time, from.state, to.time, to.state);
+            }
         }
     }
     run
@@ -531,10 +662,9 @@ fn build_object_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ObjectId;
-    use ust_markov::CsrMatrix;
+    use ust_markov::{CsrMatrix, MarkovModel};
     use ust_spatial::StateSpace;
-    use ust_trajectory::UncertainObject;
+    use ust_trajectory::{Observation, UncertainObject};
 
     /// Database over a 1-d line of 10 states at x = 0..9 where objects can
     /// stay or move one step left/right per tic.
@@ -690,7 +820,7 @@ mod tests {
         let result = tree.prune(&times, |_| q);
 
         // Brute force: per object per time min/max distance over reachable states.
-        let reach = ReachabilityIndex::from_matrix(db.shared_model().matrix_at(0));
+        let reach = ReachabilityIndex::from_model(db.shared_model());
         let space = db.state_space();
         let mut table = BoundsTable::new(times.len());
         for o in db.objects() {
@@ -773,6 +903,64 @@ mod tests {
                 assert_eq!(a.mbr, b.mbr);
                 assert_eq!(a.per_time, b.per_time);
             }
+        }
+    }
+
+    #[test]
+    fn time_varying_models_index_every_possible_path() {
+        // Stay-only at t=0, line moves from t=1 on: s0 -> s0 -> s1 is a legal
+        // path, so the object must get a diamond and be found near s1.
+        let space = Arc::new(StateSpace::from_points(
+            (0..3).map(|i| Point::new(i as f64, 0.0)).collect(),
+        ));
+        let line = CsrMatrix::stochastic_from_weights(vec![
+            vec![(1, 1.0)],
+            vec![(0, 1.0), (2, 1.0)],
+            vec![(1, 1.0)],
+        ]);
+        let model = Arc::new(MarkovModel::time_varying(vec![CsrMatrix::identity(3), line]));
+        let object = UncertainObject::from_pairs(1, vec![(0, 0), (2, 1)]).unwrap();
+        let db = TrajectoryDatabase::with_objects(space, model, vec![object]);
+        let tree = UstTree::build(&db);
+        assert_eq!(tree.num_diamonds(), 1, "the segment is consistent under the model");
+        let result = tree.prune_point(&[1, 2], Point::new(1.0, 0.0));
+        assert!(result.is_influencer(1));
+        assert!(result.is_candidate(1));
+    }
+
+    /// A tree maintained across appends — tails of existing objects, a
+    /// brand-new object, a single-observation object that gains
+    /// observations — equals a scratch build over the grown database.
+    #[test]
+    fn apply_appends_matches_a_scratch_build() {
+        let db = line_db(vec![
+            UncertainObject::from_pairs(1, vec![(0, 1), (4, 1), (8, 1)]).unwrap(),
+            UncertainObject::from_pairs(2, vec![(3, 5)]).unwrap(),
+            UncertainObject::from_pairs(3, vec![(0, 9), (4, 9)]).unwrap(),
+        ]);
+        let mut grown = db.clone();
+        for (id, pairs) in [(1u32, vec![(10, 2)]), (2, vec![(5, 6), (9, 4)]), (7, vec![(2, 0), (6, 3)])]
+        {
+            let obs: Vec<Observation> =
+                pairs.iter().map(|&(t, s)| Observation::new(t, s)).collect();
+            grown.append_observations(id, &obs).unwrap();
+        }
+        for threads in [1usize, 2] {
+            let cfg = UstTreeConfig { build_threads: threads, ..Default::default() };
+            let mut tree = UstTree::build_with(&db, &cfg);
+            tree.apply_appends(&grown, &[7, 2, 1, 2], threads);
+            let scratch = UstTree::build_with(&grown, &cfg);
+            assert_eq!(tree.diamonds(), scratch.diamonds());
+            assert_eq!(tree.num_objects(), 4);
+            let stats = tree.build_stats();
+            assert_eq!((stats.objects, stats.diamonds), (4, scratch.num_diamonds()));
+            // Object 1 gains one segment, object 2 two (its degenerate
+            // diamond replaced), object 7 one: only those four are built.
+            assert_eq!(stats.segments, 4);
+            let times = [1, 3, 5, 7, 9];
+            let q = Point::new(2.0, 0.0);
+            let (a, b) = (tree.prune_point(&times, q), scratch.prune_point(&times, q));
+            assert_eq!((a.candidates, a.influencers), (b.candidates, b.influencers));
         }
     }
 }

@@ -14,6 +14,7 @@
 //! baseline of Figure 12, which assigns equal probability to every reachable
 //! state.
 
+use crate::model::MarkovModel;
 use crate::sparse::CsrMatrix;
 use crate::{StateId, Timestamp};
 
@@ -65,6 +66,18 @@ impl ReachabilityIndex {
         ReachabilityIndex { forward: matrix.clone(), backward: matrix.transpose() }
     }
 
+    /// Builds the index of an a-priori model. A time-varying model is
+    /// indexed by the union of the supports of all its matrices: a superset
+    /// of what any one timestamp allows, so the reachable sets stay
+    /// conservative wherever a segment lies in time, and they stay a
+    /// function of the gap alone (never of the absolute start time).
+    pub fn from_model(model: &MarkovModel) -> Self {
+        match model {
+            MarkovModel::Homogeneous(matrix) => Self::from_matrix(matrix),
+            MarkovModel::TimeVarying(matrices) => Self::from_matrix(&support_union(matrices)),
+        }
+    }
+
     /// Number of states of the underlying model.
     pub fn num_states(&self) -> usize {
         self.forward.num_states()
@@ -113,6 +126,17 @@ impl ReachabilityIndex {
             .collect();
         ReachabilitySets { start: from.0, end: to.0, per_time }
     }
+}
+
+/// A matrix whose support is the union of the supports of `matrices` (all
+/// over the same state space). Its values are meaningless — `from_rows` sums
+/// the duplicates — since only the sparsity pattern matters to reachability.
+fn support_union(matrices: &[CsrMatrix]) -> CsrMatrix {
+    let n = matrices.first().map_or(0, CsrMatrix::num_states);
+    let rows = (0..n as StateId)
+        .map(|s| matrices.iter().flat_map(|m| m.successors(s).iter().map(|&c| (c, 1.0))).collect())
+        .collect();
+    CsrMatrix::from_rows(rows)
 }
 
 /// Breadth-first support expansion: `result[k]` is the sorted set of states

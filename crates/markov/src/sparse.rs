@@ -368,14 +368,39 @@ impl CsrMatrix {
     }
 
     /// Transposed matrix (used for backward reachability).
+    ///
+    /// A two-pass counting sort: the first pass counts each column's entries
+    /// into the transposed row offsets, the second scatters the entries.
+    /// Source rows are walked in ascending order, so every transposed row
+    /// comes out sorted by column with no duplicates — exactly what
+    /// [`Self::from_rows`] would produce, without its per-row vectors and
+    /// sorts. Non-positive values are dropped, as `from_rows` drops them.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut rows: Vec<Vec<(StateId, f64)>> = vec![Vec::new(); self.num_states];
-        for i in 0..self.num_states {
-            for (j, v) in self.row_iter(i as StateId) {
-                rows[j as usize].push((i as StateId, v));
+        let n = self.num_states;
+        let mut row_offsets = vec![0usize; n + 1];
+        for (&j, &v) in self.cols.iter().zip(&self.vals) {
+            if v > 0.0 {
+                row_offsets[j as usize + 1] += 1;
             }
         }
-        CsrMatrix::from_rows(rows)
+        for j in 0..n {
+            row_offsets[j + 1] += row_offsets[j];
+        }
+        let nnz = row_offsets[n];
+        let mut cols: Vec<StateId> = vec![0; nnz];
+        let mut vals: Vec<f64> = vec![0.0; nnz];
+        let mut next: Vec<usize> = row_offsets[..n].to_vec();
+        for i in 0..n {
+            for (j, v) in self.row_iter(i as StateId) {
+                if v > 0.0 {
+                    let slot = &mut next[j as usize];
+                    cols[*slot] = i as StateId;
+                    vals[*slot] = v;
+                    *slot += 1;
+                }
+            }
+        }
+        CsrMatrix { num_states: n, row_offsets, cols, vals }
     }
 
     /// The set of successor states of `s` (states reachable in one step).
@@ -569,6 +594,65 @@ mod tests {
                 assert_eq!(m.get(i, j), tt.get(i, j));
             }
         }
+
+        // The counting sort must reproduce the per-row reference (push every
+        // entry into its column's `Vec`, then `from_rows`) exactly: offsets,
+        // columns and value bits, on seeded random matrices whose rows carry
+        // explicit zero, negative and NaN entries that both must drop.
+        fn reference(m: &CsrMatrix) -> CsrMatrix {
+            let mut rows: Vec<Vec<(StateId, f64)>> = vec![Vec::new(); m.num_states];
+            for i in 0..m.num_states {
+                for (j, v) in m.row_iter(i as StateId) {
+                    rows[j as usize].push((i as StateId, v));
+                }
+            }
+            CsrMatrix::from_rows(rows)
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7A05);
+        for n in [0usize, 1, 2, 7, 40, 200] {
+            let rows: Vec<Vec<(StateId, f64)>> = (0..n)
+                .map(|_| {
+                    let len = rng.gen_range(0..=n.min(12));
+                    (0..len)
+                        .map(|_| {
+                            let col = rng.gen_range(0..n) as StateId;
+                            let v = match rng.gen_range(0..8u32) {
+                                0 => 0.0,
+                                1 => -rng.gen::<f64>(),
+                                2 => f64::NAN,
+                                _ => rng.gen::<f64>() + 1e-3,
+                            };
+                            (col, v)
+                        })
+                        .collect()
+                })
+                .collect();
+            let m = CsrMatrix::from_rows(rows);
+            let (fast, slow) = (m.transpose(), reference(&m));
+            assert_eq!(fast.num_states, slow.num_states, "n={n}");
+            assert_eq!(fast.row_offsets, slow.row_offsets, "n={n}");
+            assert_eq!(fast.cols, slow.cols, "n={n}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.vals), bits(&slow.vals), "n={n}");
+        }
+
+        // `from_rows` is the only constructor and already drops non-positive
+        // entries; an arena that carries them anyway must lose them in the
+        // transpose too, exactly as the reference's `from_rows` pass drops
+        // them.
+        let raw = CsrMatrix {
+            num_states: 3,
+            row_offsets: vec![0, 3, 4, 6],
+            cols: vec![0, 1, 2, 0, 1, 2],
+            vals: vec![0.5, 0.0, -1.0, f64::NAN, 0.25, -0.0],
+        };
+        let (fast, slow) = (raw.transpose(), reference(&raw));
+        assert_eq!(fast.row_offsets, slow.row_offsets);
+        assert_eq!(fast.cols, slow.cols);
+        assert_eq!(fast.vals, slow.vals);
+        assert_eq!(fast.nnz(), 2, "only the two positive entries survive");
     }
 
     #[test]
